@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet test-race chaos bench-smoke bench joinbench stmtbench schedbench filterbench spillbench serverbench benchdiff verify
+.PHONY: all build test vet test-race chaos fuzz-spill bench-smoke bench joinbench stmtbench schedbench filterbench spillbench serverbench benchdiff verify
 
 all: build
 
@@ -41,6 +41,13 @@ test-race:
 # adds the SIP_CHAOS-gated sweep.
 chaos:
 	SIP_CHAOS=1 $(GO) test -race -run TestChaos -count=1 -timeout 15m .
+
+# fuzz-spill: the long search behind FuzzReader, whose seed corpus runs in
+# tier-1 `test`: arbitrary record bytes in a frame with a valid checksum must
+# never panic the spill decoder or let it read past the frame.
+FUZZTIME ?= 10m
+fuzz-spill:
+	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME)
 
 # joinbench: append this revision's per-strategy + parallel-scaling entry
 # to the BENCH_joins.json trajectory (the recorded microbench section and

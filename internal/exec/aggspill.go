@@ -31,6 +31,11 @@ import (
 // the first record to claim a key wins, and only a winning side-0 record
 // emits its tuple — claims always precede the pendings they shadow because
 // side-1 records are written before any side-0 record exists.
+//
+// Both merges read the run header-first (spill.Reader.NextKey) and build a
+// record's tuple only when the pass uses it: records of other sub-buckets are
+// skipped undecoded, and the distinct replay decodes only the winning
+// pendings it emits.
 
 // aggAccRecWidth is the number of serialized values per accumulator.
 const aggAccRecWidth = 6
@@ -199,6 +204,7 @@ func (ac *aggCore) mergeSpill(ctx *Context, op *stats.OpStats, gw int, aggs []pl
 		passLimit = 2 * share
 	}
 	perGroup := int64(aggAccBytes*len(aggs) + gw*16)
+	op.SpillPasses.Add(int64(F))
 
 	outBatch := GetBatch()
 	fail := func(err error) bool {
@@ -226,7 +232,7 @@ func (ac *aggCore) mergeSpill(ctx *Context, op *stats.OpStats, gw int, aggs []pl
 			return fail(err)
 		}
 		for {
-			ok, err := rd.Next(&rec)
+			ok, err := rd.NextKey(&rec)
 			if err != nil {
 				rd.Close()
 				return fail(err)
@@ -237,11 +243,16 @@ func (ac *aggCore) mergeSpill(ctx *Context, op *stats.OpStats, gw int, aggs []pl
 			if int((rec.Hash>>32)&uint64(F-1)) != f {
 				continue
 			}
+			t, err := rec.DecodeTuple()
+			if err != nil {
+				rd.Close()
+				return fail(err)
+			}
 			id, added := idx.Insert(rec.Hash, rec.Key)
 			if added {
-				// rec.Tuple is freshly allocated per record, so the group
-				// values slice can be retained directly.
-				groups = append(groups, groupState{groupVals: rec.Tuple[:gw:gw], accs: alloc.alloc()})
+				// DecodeTuple allocates a fresh tuple per record, so the
+				// group values slice can be retained directly.
+				groups = append(groups, groupState{groupVals: t[:gw:gw], accs: alloc.alloc()})
 				if sz := int64(idx.MemSize()) + int64(len(groups))*perGroup; passLimit > 0 && sz > passLimit {
 					rd.Close()
 					return fail(&BudgetError{Op: op.Name, Budget: ctx.MemBudget, Need: 8 * sz})
@@ -251,8 +262,7 @@ func (ac *aggCore) mergeSpill(ctx *Context, op *stats.OpStats, gw int, aggs []pl
 			for k := range aggs {
 				o := gw + k*aggAccRecWidth
 				gs.accs[k].merge(aggs[k].Func,
-					rec.Tuple[o].I, rec.Tuple[o+1].I, rec.Tuple[o+2].F,
-					rec.Tuple[o+3].I != 0, rec.Tuple[o+4], rec.Tuple[o+5])
+					t[o].I, t[o+1].I, t[o+2].F, t[o+3].I != 0, t[o+4], t[o+5])
 			}
 		}
 		rd.Close()
@@ -415,8 +425,14 @@ func (dc *distinctCore) mergeSpill(ctx *Context, op *stats.OpStats, emit func(Ba
 	if ctx.MemBudget > 0 {
 		passLimit = 2 * share
 	}
+	op.SpillPasses.Add(int64(F))
 
 	outBatch := GetBatch()
+	fail := func(err error) bool {
+		ctx.CancelCause(err)
+		PutBatch(outBatch)
+		return false
+	}
 	var rec spill.Record
 	for f := 0; f < F; f++ {
 		if ctx.Err() != nil {
@@ -426,17 +442,13 @@ func (dc *distinctCore) mergeSpill(ctx *Context, op *stats.OpStats, emit func(Ba
 		var idx types.KeyTable
 		rd, err := dc.run.Reader()
 		if err != nil {
-			ctx.CancelCause(err)
-			PutBatch(outBatch)
-			return false
+			return fail(err)
 		}
 		for {
-			ok, err := rd.Next(&rec)
+			ok, err := rd.NextKey(&rec)
 			if err != nil {
 				rd.Close()
-				ctx.CancelCause(err)
-				PutBatch(outBatch)
-				return false
+				return fail(err)
 			}
 			if !ok {
 				break
@@ -447,13 +459,16 @@ func (dc *distinctCore) mergeSpill(ctx *Context, op *stats.OpStats, emit func(Ba
 			_, added := idx.Insert(rec.Hash, rec.Key)
 			if added && passLimit > 0 && int64(idx.MemSize()) > passLimit {
 				rd.Close()
-				ctx.CancelCause(&BudgetError{Op: op.Name, Budget: ctx.MemBudget, Need: 8 * int64(idx.MemSize())})
-				PutBatch(outBatch)
-				return false
+				return fail(&BudgetError{Op: op.Name, Budget: ctx.MemBudget, Need: 8 * int64(idx.MemSize())})
 			}
 			if added && rec.Side == 0 {
-				// rec.Tuple is freshly allocated per record: safe downstream.
-				outBatch.Tuples = append(outBatch.Tuples, rec.Tuple)
+				// DecodeTuple allocates a fresh tuple: safe downstream.
+				t, err := rec.DecodeTuple()
+				if err != nil {
+					rd.Close()
+					return fail(err)
+				}
+				outBatch.Tuples = append(outBatch.Tuples, t)
 				if len(outBatch.Tuples) == BatchSize {
 					if !emit(outBatch) {
 						rd.Close()

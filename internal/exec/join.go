@@ -211,7 +211,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 		partIns[p] = parts[p].in
 		for s, in := range inputs {
 			if in.point != nil {
-				parts[p].tables[s].reserve(int(in.point.EstRows) / P)
+				parts[p].tables[s].reserve(reserveHint(ctx, in.point.EstRows, P))
 			}
 		}
 		parts[p].initAccount(ctx, ops)
@@ -359,10 +359,10 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 				ownT.insertBatch(sb, base, ids, added[:n])
 				stored = int64(n)
 				storedBytes = ownT.tupBytes - preTup
-			} else if pt.run != nil {
+			} else if pt.hasSpilled() {
 				// The partition has spilled: evicted other-side entries may
 				// still match these arrivals, so instead of the plain §VI-A
-				// drop they go to the run under the current epoch.
+				// drop they go to their side's run under the current epoch.
 				if err := pt.spillArrivals(sb, base); err != nil {
 					ctx.CancelCause(err)
 					return
@@ -470,7 +470,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 		// are attributed to the left op like the spill counters.
 		var resC *expr.Compiled
 		for _, pt := range parts {
-			if pt.run == nil {
+			if !pt.hasSpilled() {
 				continue
 			}
 			if resC == nil {

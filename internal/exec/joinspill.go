@@ -16,11 +16,11 @@ import (
 //
 // When a partition's accounted state crosses its share of the query budget
 // (Context.memPressure), the whole partition — both side tables together —
-// is serialized to its spill run and the memory reclaimed. The partition's
-// ticket clock at each eviction is recorded as an epoch boundary: an entry's
-// epoch is the number of boundaries smaller than its ticket, so two entries
-// share an epoch exactly when they were co-resident in memory (both sides
-// are always evicted together). Evicting invalidates the in-memory state as
+// is serialized to its spill runs (one per side) and the memory reclaimed.
+// The partition's ticket clock at each eviction is recorded as an epoch
+// boundary: an entry's epoch is the number of boundaries smaller than its
+// ticket, so two entries share an epoch exactly when they were co-resident
+// in memory (both sides are always evicted together). Evicting invalidates the in-memory state as
 // an input summary, so both AIP points are marked state-incomplete.
 //
 // # Exactly-once across phases
@@ -39,12 +39,21 @@ import (
 // # Merge
 //
 // After both inputs are done, each spilled partition flushes its in-memory
-// remainder (final epoch) and is drained as a plain hash join over the run:
+// remainder (final epoch) and is drained as a plain hash join over its runs:
 // the side that spilled fewer payload bytes is built, fanned out into F hash
 // sub-buckets so one build table fits the merge share (Context.mergeShare),
 // and the other side streams past it. F is capped at spillMaxFanout; a
 // budget too small for even the maximum fan-out fails the query with a
 // typed *BudgetError instead of thrashing.
+//
+// Each side has its own run, so a build pass reads only build-side bytes;
+// on the paper's queries the probe side is often an order of magnitude
+// larger. Both passes read records header-first (spill.Reader.NextKey): the
+// build pass decodes a tuple only for a record in its sub-bucket, and the
+// probe pass decodes the probe tuple only when the record's key is in the
+// build table and one of the chained entries is from another epoch — the
+// moment a cross-epoch pair is about to be emitted. Most probe records miss
+// the build table, so most are skipped without building a tuple.
 
 // joinEntryBytes approximates the fixed per-entry footprint of a joinTable
 // entry: tuple header, ticket, chain link, padding.
@@ -68,15 +77,40 @@ type joinCore struct {
 	tables [2]joinTable // indexed by side
 	ticket uint64
 
-	bytes      int64      // accounted in-memory state bytes of this partition
-	run        *spill.Run // nil until the first eviction
-	boundaries []uint64   // ticket clock at each eviction, ascending
-	spilled    [2]int64   // cumulative spilled tuple payload bytes per side
+	bytes      int64         // accounted in-memory state bytes of this partition
+	runs       [2]*spill.Run // per side; both nil until the first eviction
+	boundaries []uint64      // ticket clock at each eviction, ascending
+	spilled    [2]int64      // cumulative spilled tuple payload bytes per side
 }
+
+// hasSpilled reports whether the partition has evicted state to its runs.
+func (jc *joinCore) hasSpilled() bool { return jc.runs[0] != nil }
+
+// runBytes is the total bytes written to both side runs.
+func (jc *joinCore) runBytes() int64 { return jc.runs[0].Bytes() + jc.runs[1].Bytes() }
 
 // memBytes is the partition's current accounted footprint.
 func (jc *joinCore) memBytes() int64 {
 	return jc.tables[0].memBytes() + jc.tables[1].memBytes()
+}
+
+// joinReserveBytes bounds the bytes one reserved entry charges before any
+// tuple arrives: up to four KeyTable slots, a chain head and a chain entry.
+const joinReserveBytes = 16 + 4 + joinEntryBytes
+
+// reserveHint is one side's pre-size hint for one of P partitions: the
+// optimizer's row estimate split evenly, capped under a memory budget so the
+// reservation initAccount charges up front fits the partition's share. The
+// two sides together may reserve at most the memPressure floor, budget / 2
+// per accounted partition; without the cap an over-estimate is charged
+// before any eviction can fire and sets the capped peak on its own.
+func reserveHint(ctx *Context, estRows float64, P int) int {
+	n := int(estRows) / P
+	if ctx.MemBudget > 0 {
+		parts := max(int64(P), ctx.memParts.Load())
+		n = min(n, int(ctx.MemBudget/(4*parts*joinReserveBytes)))
+	}
+	return n
 }
 
 // initAccount charges the reserved (pre-sized) tables to the query budget so
@@ -97,29 +131,53 @@ func epochOf(boundaries []uint64, seq uint64) int {
 	return sort.Search(len(boundaries), func(i int) bool { return boundaries[i] >= seq })
 }
 
-// ensureRun lazily creates the partition's spill run.
-func (jc *joinCore) ensureRun(ctx *Context, pattern string) error {
-	if jc.run != nil {
+// ensureRuns lazily creates the partition's two side runs.
+func (jc *joinCore) ensureRuns(ctx *Context) error {
+	if jc.hasSpilled() {
 		return nil
 	}
 	dir, err := ctx.SpillDir()
 	if err != nil {
 		return err
 	}
-	run, err := spill.NewRun(dir, pattern)
+	left, err := spill.NewRun(dir, "join-left")
 	if err != nil {
 		return err
 	}
-	jc.run = run
+	right, err := spill.NewRun(dir, "join-right")
+	if err != nil {
+		left.Close()
+		return err
+	}
+	jc.runs = [2]*spill.Run{left, right}
 	return nil
 }
 
-// writeTables appends both side tables to the run and resets them. The
+// closeRuns removes both side runs.
+func (jc *joinCore) closeRuns() {
+	for s := range jc.runs {
+		jc.runs[s].Close()
+		jc.runs[s] = nil
+	}
+}
+
+// flushRuns writes both side runs' buffered records to disk.
+func (jc *joinCore) flushRuns() error {
+	for _, run := range jc.runs {
+		if err := run.Flush(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeTables appends each side table to its run and resets them. The
 // caller owns boundary bookkeeping and byte accounting.
 func (jc *joinCore) writeTables() error {
 	var rec spill.Record
 	for s := range jc.tables {
 		t := &jc.tables[s]
+		run := jc.runs[s]
 		rec.Side = uint8(s)
 		for id := int32(0); id < int32(t.idx.Len()); id++ {
 			rec.Hash = t.idx.Hash(id)
@@ -128,7 +186,7 @@ func (jc *joinCore) writeTables() error {
 				ent := &t.entries[e-1]
 				rec.Seq = ent.seq
 				rec.Tuple = ent.t
-				if err := jc.run.Append(&rec); err != nil {
+				if err := run.Append(&rec); err != nil {
 					return err
 				}
 				e = ent.next
@@ -140,27 +198,27 @@ func (jc *joinCore) writeTables() error {
 	return nil
 }
 
-// evict is one bucket-discard: both side tables go to the run under a new
+// evict is one bucket-discard: both side tables go to the runs under a new
 // epoch boundary, the memory is released, and both AIP points are marked
 // state-incomplete (the in-memory state no longer summarizes the inputs).
 func (jc *joinCore) evict(ctx *Context, ops [2]*stats.OpStats, points [2]*Point) error {
-	if err := jc.ensureRun(ctx, "join"); err != nil {
+	if err := jc.ensureRuns(ctx); err != nil {
 		return err
 	}
-	pre := jc.run.Bytes()
+	pre := jc.runBytes()
 	for s := range jc.tables {
 		ops[s].StateBytes.Add(-jc.tables[s].memBytes())
 	}
 	if err := jc.writeTables(); err != nil {
 		return err
 	}
-	if err := jc.run.Flush(); err != nil {
+	if err := jc.flushRuns(); err != nil {
 		return err
 	}
 	jc.boundaries = append(jc.boundaries, jc.ticket)
 	ctx.account(-jc.bytes)
 	jc.bytes = 0
-	n := jc.run.Bytes() - pre
+	n := jc.runBytes() - pre
 	ctx.noteSpill(n)
 	ops[0].SpillBytes.Add(n)
 	ops[0].SpillEvents.Inc()
@@ -172,19 +230,20 @@ func (jc *joinCore) evict(ctx *Context, ops [2]*stats.OpStats, points [2]*Point)
 	return nil
 }
 
-// spillArrivals appends one scatter straight to the run under the current
-// epoch: the partition has spilled, so these post-short-circuit arrivals may
-// still match evicted other-side entries in the merge. Their in-memory
-// matches were already emitted by the caller's phase-1 probe.
+// spillArrivals appends one scatter straight to its side's run under the
+// current epoch: the partition has spilled, so these post-short-circuit
+// arrivals may still match evicted other-side entries in the merge. Their
+// in-memory matches were already emitted by the caller's phase-1 probe.
 func (jc *joinCore) spillArrivals(sb *scatter, base uint64) error {
 	var rec spill.Record
 	rec.Side = uint8(sb.side)
+	run := jc.runs[sb.side]
 	for i, t := range sb.tuples {
 		rec.Seq = base + uint64(i) + 1
 		rec.Hash = sb.hashes[i]
 		rec.Key = sb.key(i)
 		rec.Tuple = t
-		if err := jc.run.Append(&rec); err != nil {
+		if err := run.Append(&rec); err != nil {
 			return err
 		}
 		// Count toward the side's spilled payload: the merge sizes its build
@@ -199,22 +258,19 @@ func (jc *joinCore) spillArrivals(sb *scatter, base uint64) error {
 // the cross-epoch match pairs phase 1 could not see. emit receives dense or
 // selection-carrying batches ready to send downstream (residual already
 // applied) and reports false on cancellation. mergeSpill returns false when
-// the query failed or was cancelled; it closes and removes the run either
+// the query failed or was cancelled; it closes and removes the runs either
 // way. Callers pass their own compiled residual (expr.Compiled carries
 // scratch and is not concurrency-safe).
 func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName string, resC *expr.Compiled, emit func(Batch) bool) bool {
-	if jc.run == nil {
+	if !jc.hasSpilled() {
 		return true
 	}
-	defer func() {
-		jc.run.Close()
-		jc.run = nil
-	}()
+	defer jc.closeRuns()
 
 	// Flush the in-memory remainder under the final epoch (no new boundary:
 	// these entries share their epoch with any post-short-circuit arrivals
 	// already appended, whose phase-1 probes saw them in memory).
-	pre := jc.run.Bytes()
+	pre := jc.runBytes()
 	for s := range jc.tables {
 		ops[s].StateBytes.Add(-jc.tables[s].memBytes())
 	}
@@ -222,13 +278,13 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 		ctx.CancelCause(err)
 		return false
 	}
-	if err := jc.run.Flush(); err != nil {
+	if err := jc.flushRuns(); err != nil {
 		ctx.CancelCause(err)
 		return false
 	}
 	ctx.account(-jc.bytes)
 	jc.bytes = 0
-	if n := jc.run.Bytes() - pre; n > 0 {
+	if n := jc.runBytes() - pre; n > 0 {
 		ctx.spillBytes.Add(n)
 		ops[0].SpillBytes.Add(n)
 	}
@@ -250,9 +306,9 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 		ctx.CancelCause(&BudgetError{Op: opName, Budget: ctx.MemBudget, Need: need})
 		return false
 	}
+	ops[0].SpillPasses.Add(int64(F))
 
 	buildIsLeft := build == 0
-	probe := 1 - build
 	outBatch := GetBatch()
 	flush := func() bool {
 		if len(outBatch.Tuples) == 0 {
@@ -286,60 +342,50 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 			PutBatch(outBatch)
 			return false
 		}
-		// Pass 1: build this sub-bucket's table from the build side. The
+		// Pass 1: build this sub-bucket's table from the build run. The
 		// sub-bucket selector uses middle hash bits — the top bits picked the
 		// partition and the low bits index the KeyTable's slots.
 		var bt joinTable
-		rd, err := jc.run.Reader()
-		if err != nil {
+		if err := bt.loadSubBucket(jc.runs[build], F, f); err != nil {
 			return fail(err)
 		}
-		for {
-			ok, err := rd.Next(&rec)
-			if err != nil {
-				rd.Close()
-				return fail(err)
-			}
-			if !ok {
-				break
-			}
-			if int(rec.Side) != build || int((rec.Hash>>32)&uint64(F-1)) != f {
-				continue
-			}
-			bt.insert(rec.Hash, rec.Key, rec.Tuple, rec.Seq)
-		}
-		rd.Close()
 		passBytes := bt.memBytes()
 		ctx.account(passBytes)
 		ops[build].StateBytes.Add(passBytes)
 
-		// Pass 2: stream the probe side past it, emitting cross-epoch pairs.
+		// Pass 2: stream the probe run past it, emitting cross-epoch pairs.
 		// Chains are walked directly (not probeID) because the epoch check
 		// needs each entry's ticket, not just a ticket ceiling.
-		rd, err = jc.run.Reader()
+		rd, err := jc.runs[1-build].Reader()
 		if err == nil {
 			for {
 				var ok bool
-				ok, err = rd.Next(&rec)
+				ok, err = rd.NextKey(&rec)
 				if err != nil || !ok {
 					break
 				}
-				if int(rec.Side) != probe || int((rec.Hash>>32)&uint64(F-1)) != f {
+				if int((rec.Hash>>32)&uint64(F-1)) != f {
 					continue
 				}
-				pe := epochOf(jc.boundaries, rec.Seq)
 				id := bt.idx.Lookup(rec.Hash, rec.Key)
 				if id < 0 {
 					continue
 				}
+				pe := epochOf(jc.boundaries, rec.Seq)
+				var pt types.Tuple // decoded at the first cross-epoch pair
 				for e := bt.heads[id]; e != 0; {
 					ent := &bt.entries[e-1]
 					if epochOf(jc.boundaries, ent.seq) != pe {
+						if pt == nil {
+							if pt, err = rec.DecodeTuple(); err != nil {
+								break
+							}
+						}
 						var row types.Tuple
 						if buildIsLeft {
-							row = arena.concat(ent.t, rec.Tuple)
+							row = arena.concat(ent.t, pt)
 						} else {
-							row = arena.concat(rec.Tuple, ent.t)
+							row = arena.concat(pt, ent.t)
 						}
 						outBatch.Tuples = append(outBatch.Tuples, row)
 						if len(outBatch.Tuples) == BatchSize && !flush() {
@@ -350,6 +396,9 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 						}
 					}
 					e = ent.next
+				}
+				if err != nil {
+					break
 				}
 			}
 			rd.Close()
@@ -365,4 +414,29 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 	}
 	PutBatch(outBatch)
 	return true
+}
+
+// loadSubBucket fills an empty table with sub-bucket f of F from run,
+// decoding a record's tuple only when the record belongs to the sub-bucket.
+func (jt *joinTable) loadSubBucket(run *spill.Run, F, f int) error {
+	rd, err := run.Reader()
+	if err != nil {
+		return err
+	}
+	defer rd.Close()
+	var rec spill.Record
+	for {
+		ok, err := rd.NextKey(&rec)
+		if err != nil || !ok {
+			return err
+		}
+		if int((rec.Hash>>32)&uint64(F-1)) != f {
+			continue
+		}
+		t, err := rec.DecodeTuple()
+		if err != nil {
+			return err
+		}
+		jt.insert(rec.Hash, rec.Key, t, rec.Seq)
+	}
 }

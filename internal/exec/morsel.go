@@ -782,7 +782,7 @@ func newMJoin(r *morselRun, j *HashJoin, down mChain) *mJoin {
 		pt := &mJoinPart{resC: expr.Compile(j.Residual)}
 		for s, in := range m.inputs {
 			if in.point != nil {
-				pt.tables[s].reserve(int(in.point.EstRows) / P)
+				pt.tables[s].reserve(reserveHint(r.ctx, in.point.EstRows, P))
 			}
 		}
 		pt.initAccount(r.ctx, [2]*stats.OpStats{lop, rop})
@@ -886,10 +886,10 @@ func (m *mJoin) processScatter(dw, p int, sb *scatter) bool {
 		ownT.insertBatch(sb, base, pt.ids, pt.added[:n])
 		stored = int64(n)
 		storedBytes = ownT.tupBytes - preTup
-	} else if pt.run != nil {
+	} else if pt.hasSpilled() {
 		// Spilled partition: post-short-circuit arrivals may still match
-		// evicted other-side entries, so they go to the run (current epoch)
-		// instead of being dropped.
+		// evicted other-side entries, so they go to their side's run
+		// (current epoch) instead of being dropped.
 		if err := pt.spillArrivals(sb, base); err != nil {
 			ctx.CancelCause(err)
 			return false
@@ -1023,7 +1023,7 @@ func (m *mJoin) finish(w int, in *joinInput) {
 	if m.sidesDone.Add(1) == 2 && m.run.ctx.Err() == nil {
 		spilled := false
 		for _, pt := range m.parts {
-			if pt.run != nil {
+			if pt.hasSpilled() {
 				spilled = true
 				break
 			}
@@ -1046,7 +1046,7 @@ func (m *mJoin) mergeSpilled(dw int) {
 	ctx := m.run.ctx
 	ops := [2]*stats.OpStats{m.inputs[0].op, m.inputs[1].op}
 	for _, pt := range m.parts {
-		if pt.run == nil {
+		if !pt.hasSpilled() {
 			continue
 		}
 		if !pt.mergeSpill(ctx, ops, ops[0].Name, pt.resC, func(b Batch) bool {

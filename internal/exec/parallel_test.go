@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,10 +59,17 @@ func runParallel(op Op, parallelism int) ([]types.Tuple, *stats.Registry) {
 	return rows, reg
 }
 
+// rowStrings renders rows value by value — kind, integer, float bits,
+// string — and sorts them, so two results compare byte for byte, not
+// through the display format.
 func rowStrings(rows []types.Tuple) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
-		out[i] = r.String()
+		var sb strings.Builder
+		for _, v := range r {
+			fmt.Fprintf(&sb, "%d/%d/%x/%q|", v.K, v.I, math.Float64bits(v.F), v.S)
+		}
+		out[i] = sb.String()
 	}
 	sort.Strings(out)
 	return out

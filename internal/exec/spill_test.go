@@ -53,43 +53,63 @@ func runSpill(op Op, budget int64, parallelism int, scheduler string) ([]types.T
 // TestJoinSpillDifferential is the core out-of-core acceptance property:
 // a budget-capped run must produce byte-identical results to the unbounded
 // run, on both schedulers, while actually spilling, and with the tracked
-// peak held near the budget.
+// peak held near the budget. The second input has fewer, fuller partitions,
+// so the merge must split a partition's build side into F ≥ 4 sub-buckets
+// (one build table and one probe scan per sub-bucket).
 func TestJoinSpillDifferential(t *testing.T) {
-	const n = 4000
-	want, base, err := runSpill(spillJoin(n, 64), 0, 4, SchedulerChan)
-	if err != nil {
-		t.Fatalf("unbounded run: %v", err)
-	}
-	if base.SpillEvents() != 0 {
-		t.Fatalf("unbounded run spilled %d times", base.SpillEvents())
-	}
-	peak := base.PeakTrackedBytes()
-	if peak == 0 {
-		t.Fatal("unbounded run tracked no state bytes")
-	}
-	wantS := rowStrings(want)
+	for _, in := range []struct {
+		n, pad, P int
+		divs      []int64
+		minFanout int64 // some partition's merge fans out at least this far
+	}{
+		{n: 4000, pad: 64, P: 4, divs: []int64{4, 16}, minFanout: 1},
+		{n: 6000, pad: 128, P: 2, divs: []int64{4}, minFanout: 4},
+	} {
+		want, base, err := runSpill(spillJoin(in.n, in.pad), 0, in.P, SchedulerChan)
+		if err != nil {
+			t.Fatalf("n=%d unbounded run: %v", in.n, err)
+		}
+		if base.SpillEvents() != 0 {
+			t.Fatalf("n=%d unbounded run spilled %d times", in.n, base.SpillEvents())
+		}
+		peak := base.PeakTrackedBytes()
+		if peak == 0 {
+			t.Fatalf("n=%d unbounded run tracked no state bytes", in.n)
+		}
+		wantS := rowStrings(want)
 
-	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		for _, div := range []int64{4, 16} {
-			budget := peak / div
-			got, ctx, err := runSpill(spillJoin(n, 64), budget, 4, sched)
-			if err != nil {
-				t.Fatalf("%s budget=peak/%d: %v", sched, div, err)
-			}
-			sameRows(t, sched, wantS, rowStrings(got))
-			if ctx.SpillEvents() == 0 {
-				t.Fatalf("%s budget=peak/%d: no spill events at budget %d (peak %d)",
-					sched, div, budget, peak)
-			}
-			if ctx.SpillBytes() == 0 {
-				t.Fatalf("%s budget=peak/%d: spill events but no spill bytes", sched, div)
-			}
-			// The budget is honored up to one batch of transient growth per
-			// partition (growth is checked after each scatter is absorbed).
-			slack := budget/2 + 128<<10
-			if p := ctx.PeakTrackedBytes(); p > budget+slack {
-				t.Fatalf("%s budget=peak/%d: peak tracked %d exceeds budget %d + slack %d",
-					sched, div, p, budget, slack)
+		for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
+			for _, div := range in.divs {
+				label := fmt.Sprintf("%s n=%d budget=peak/%d", sched, in.n, div)
+				budget := peak / div
+				got, ctx, err := runSpill(spillJoin(in.n, in.pad), budget, in.P, sched)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				sameRows(t, label, wantS, rowStrings(got))
+				if ctx.SpillEvents() == 0 {
+					t.Fatalf("%s: no spill events at budget %d (peak %d)", label, budget, peak)
+				}
+				if ctx.SpillBytes() == 0 {
+					t.Fatalf("%s: spill events but no spill bytes", label)
+				}
+				// The budget is honored up to one batch of transient growth per
+				// partition (growth is checked after each scatter is absorbed).
+				slack := budget/2 + 128<<10
+				if p := ctx.PeakTrackedBytes(); p > budget+slack {
+					t.Fatalf("%s: peak tracked %d exceeds budget %d + slack %d",
+						label, p, budget, slack)
+				}
+				// Passes sum F over at most P spilled partitions, so
+				// minFanout·P passes means some partition reached it.
+				var passes int64
+				for _, op := range ctx.Stats.Ops() {
+					passes += op.SpillPasses.Load()
+				}
+				if passes < in.minFanout*int64(in.P) {
+					t.Fatalf("%s: %d merge passes over %d partitions, want F ≥ %d",
+						label, passes, in.P, in.minFanout)
+				}
 			}
 		}
 	}

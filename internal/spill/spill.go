@@ -18,7 +18,29 @@
 // varints, floats as raw IEEE bits, strings length-prefixed, NULL as a bare
 // tag. The encoding is exact — a decoded Record compares equal to what was
 // appended — which is what lets capped (spilling) executions return
-// byte-identical results to unbounded ones.
+// byte-identical results to unbounded ones. Inside a frame, one record is
+//
+//	side u8 · seq uvarint · hash fixed64 · keyLen uvarint · key bytes ·
+//	ncols+1 uvarint (0 = nil tuple) · valsLen u32 · values (valsLen bytes)
+//
+// where each value is a kind u8 followed by its payload: NULL none;
+// INT/DATE/BOOL zigzag varint; FLOAT raw IEEE bits fixed64; STRING uvarint
+// length + bytes. valsLen puts the record's end right after its header, so
+// a reader can skip a tuple without decoding it.
+//
+// # Reader contract
+//
+// A merge pass usually needs only a record's header: it discards records of
+// other sub-buckets and probes the rest by key. Reader.NextKey therefore
+// decodes just Side, Seq, Hash and Key and leaves Tuple nil; Key and the
+// record's encoded values alias the reader's frame buffer and stay valid
+// until the next NextKey or Next call. Record.DecodeTuple builds the tuple
+// from those values on demand into a freshly allocated Tuple (strings
+// copied), which the caller may retain indefinitely. Next is NextKey plus
+// DecodeTuple. Every frame is CRC-verified before any of its records is
+// decoded, and every length is bounds-checked against the frame, so a
+// corrupt run surfaces as an error — never as a panic, an out-of-frame read
+// or a silently wrong record.
 //
 // Temp-file lifecycle is owned by the caller: runs are created inside a
 // caller-supplied directory (the executor uses one temp dir per query,
@@ -29,6 +51,7 @@ package spill
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -49,6 +72,11 @@ type Record struct {
 	Hash  uint64
 	Key   []byte
 	Tuple types.Tuple
+
+	// Set by Reader.NextKey for DecodeTuple: the encoded column count plus
+	// one (0 = nil tuple) and the encoded values, aliasing the frame.
+	ncols uint64
+	vals  []byte
 }
 
 // castagnoli is the CRC-32C table (hardware-accelerated on amd64/arm64).
@@ -156,21 +184,25 @@ func (r *Run) Reader() (*Reader, error) {
 type Reader struct {
 	br    *bufio.Reader
 	f     *os.File
-	frame []byte // current verified frame payload
+	hdr   [8]byte
+	buf   []byte // frame storage, reused across frames
+	frame []byte // current verified frame payload: buf[:size:size]
 	off   int    // decode cursor into frame
 }
 
-// Next decodes the next record into rec, returning false at end of run.
-// rec.Key aliases the reader's frame buffer and is valid until the next
-// Next call; rec.Tuple is freshly allocated.
-func (rd *Reader) Next(rec *Record) (bool, error) {
+// NextKey decodes the next record's header into rec, returning false at end
+// of run. rec.Key and the record's encoded tuple alias the reader's frame
+// buffer and are valid until the next NextKey or Next call; rec.Tuple is
+// left nil — call rec.DecodeTuple for the tuple. NextKey does not allocate
+// once the frame buffer has grown to the run's largest frame.
+func (rd *Reader) NextKey(rec *Record) (bool, error) {
 	for rd.off >= len(rd.frame) {
 		ok, err := rd.nextFrame()
 		if err != nil || !ok {
 			return false, err
 		}
 	}
-	n, err := decodeRecord(rd.frame[rd.off:], rec)
+	n, err := decodeHeader(rd.frame[rd.off:], rec)
 	if err != nil {
 		return false, err
 	}
@@ -178,10 +210,24 @@ func (rd *Reader) Next(rec *Record) (bool, error) {
 	return true, nil
 }
 
+// Next decodes the next record into rec, returning false at end of run.
+// rec.Key aliases the reader's frame buffer and is valid until the next
+// call; rec.Tuple is freshly allocated.
+func (rd *Reader) Next(rec *Record) (bool, error) {
+	ok, err := rd.NextKey(rec)
+	if !ok || err != nil {
+		return false, err
+	}
+	if rec.Tuple, err = rec.DecodeTuple(); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
 // nextFrame reads and CRC-verifies the next frame; false means clean EOF.
 func (rd *Reader) nextFrame() (bool, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(rd.br, hdr[:]); err != nil {
+	hdr := rd.hdr[:] // a field, not a local: a local would escape per frame
+	if _, err := io.ReadFull(rd.br, hdr); err != nil {
 		if err == io.EOF {
 			return false, nil
 		}
@@ -189,30 +235,28 @@ func (rd *Reader) nextFrame() (bool, error) {
 	}
 	size := binary.LittleEndian.Uint32(hdr[0:])
 	want := binary.LittleEndian.Uint32(hdr[4:])
-	if cap(rd.frame) < int(size) {
-		rd.frame = make([]byte, size)
+	if uint64(cap(rd.buf)) < uint64(size) {
+		// A full frame overshoots frameTarget by up to one record; the
+		// headroom lets later, slightly longer frames reuse the buffer.
+		rd.buf = make([]byte, max(int(size), frameTarget)+frameTarget/4)
 	}
-	rd.frame = rd.frame[:size]
-	if _, err := io.ReadFull(rd.br, rd.frame); err != nil {
+	// The frame's capacity ends at its length, so no decode can slice past
+	// the verified bytes into a previous frame's leftovers.
+	frame := rd.buf[:size:size]
+	if _, err := io.ReadFull(rd.br, frame); err != nil {
 		return false, fmt.Errorf("spill: truncated frame: %w", err)
 	}
-	if got := crc32.Checksum(rd.frame, castagnoli); got != want {
+	if got := crc32.Checksum(frame, castagnoli); got != want {
 		return false, fmt.Errorf("spill: frame checksum mismatch (got %08x, want %08x)", got, want)
 	}
-	rd.off = 0
+	rd.frame, rd.off = frame, 0
 	return true, nil
 }
 
 // Close releases the reader's file handle.
 func (rd *Reader) Close() error { return rd.f.Close() }
 
-// Record encoding, inside a frame:
-//
-//	side u8 · seq uvarint · hash fixed64 · keyLen uvarint · key bytes ·
-//	ncols+1 uvarint (0 = nil tuple) · per value: kind u8 + payload
-//
-// Value payloads: NULL none; INT/DATE/BOOL zigzag varint; FLOAT raw IEEE
-// bits fixed64; STRING uvarint length + bytes.
+// appendRecord encodes rec in the record grammar of the package doc.
 func appendRecord(dst []byte, rec *Record) []byte {
 	dst = append(dst, rec.Side)
 	dst = binary.AppendUvarint(dst, rec.Seq)
@@ -220,9 +264,12 @@ func appendRecord(dst []byte, rec *Record) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(rec.Key)))
 	dst = append(dst, rec.Key...)
 	if rec.Tuple == nil {
-		return binary.AppendUvarint(dst, 0)
+		dst = binary.AppendUvarint(dst, 0)
+		return binary.LittleEndian.AppendUint32(dst, 0)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(rec.Tuple))+1)
+	lenAt := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // valsLen, patched below
 	for _, v := range rec.Tuple {
 		dst = append(dst, byte(v.K))
 		switch v.K {
@@ -238,14 +285,17 @@ func appendRecord(dst []byte, rec *Record) []byte {
 			panic(fmt.Sprintf("spill: unencodable kind %v", v.K))
 		}
 	}
+	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
 	return dst
 }
 
-var errCorrupt = fmt.Errorf("spill: corrupt record encoding")
+var errCorrupt = errors.New("spill: corrupt record encoding")
 
-// decodeRecord decodes one record from b (which starts at a record
-// boundary), returning the encoded length. rec.Key aliases b.
-func decodeRecord(b []byte, rec *Record) (int, error) {
+// decodeHeader decodes one record's header from b (which starts at a record
+// boundary), returning the record's full encoded length. rec.Key and
+// rec.vals alias b; rec.Tuple is reset to nil. Lengths are compared as
+// uint64 so a hostile varint cannot wrap a signed bounds check.
+func decodeHeader(b []byte, rec *Record) (int, error) {
 	if len(b) < 1 {
 		return 0, errCorrupt
 	}
@@ -257,31 +307,52 @@ func decodeRecord(b []byte, rec *Record) (int, error) {
 	}
 	off += n
 	rec.Seq = seq
-	if len(b) < off+8 {
+	if len(b)-off < 8 {
 		return 0, errCorrupt
 	}
 	rec.Hash = binary.LittleEndian.Uint64(b[off:])
 	off += 8
 	klen, n := binary.Uvarint(b[off:])
-	if n <= 0 || len(b) < off+n+int(klen) {
+	if n <= 0 || klen > uint64(len(b)-off-n) {
 		return 0, errCorrupt
 	}
 	off += n
-	rec.Key = b[off : off+int(klen)]
-	off += int(klen)
+	end := off + int(klen)
+	rec.Key = b[off:end:end]
+	off = end
 	ncols, n := binary.Uvarint(b[off:])
-	if n <= 0 {
+	if n <= 0 || len(b)-off-n < 4 {
 		return 0, errCorrupt
 	}
 	off += n
-	if ncols == 0 {
-		rec.Tuple = nil
-		return off, nil
+	vlen := uint64(binary.LittleEndian.Uint32(b[off:]))
+	off += 4
+	// Every value takes at least its kind byte, and a nil tuple has none.
+	if vlen > uint64(len(b)-off) || (ncols == 0 && vlen != 0) || (ncols > 0 && ncols-1 > vlen) {
+		return 0, errCorrupt
 	}
-	t := make(types.Tuple, ncols-1)
+	end = off + int(vlen)
+	rec.ncols = ncols
+	rec.vals = b[off:end:end]
+	rec.Tuple = nil
+	return end, nil
+}
+
+// DecodeTuple decodes the tuple of a record read by Reader.NextKey into a
+// freshly allocated Tuple (nil for a key-only record) that the caller may
+// retain. It must be called before the reader's next NextKey or Next, while
+// the record's encoded values are still in the frame buffer. The values
+// must fill the record's valsLen exactly.
+func (rec *Record) DecodeTuple() (types.Tuple, error) {
+	if rec.ncols == 0 {
+		return nil, nil
+	}
+	b := rec.vals
+	t := make(types.Tuple, rec.ncols-1)
+	off := 0
 	for i := range t {
-		if len(b) <= off {
-			return 0, errCorrupt
+		if off >= len(b) {
+			return nil, errCorrupt
 		}
 		k := types.Kind(b[off])
 		off++
@@ -291,28 +362,30 @@ func decodeRecord(b []byte, rec *Record) (int, error) {
 		case types.KindInt, types.KindDate, types.KindBool:
 			v, n := binary.Varint(b[off:])
 			if n <= 0 {
-				return 0, errCorrupt
+				return nil, errCorrupt
 			}
 			off += n
 			t[i] = types.Value{K: k, I: v}
 		case types.KindFloat:
-			if len(b) < off+8 {
-				return 0, errCorrupt
+			if len(b)-off < 8 {
+				return nil, errCorrupt
 			}
 			t[i] = types.Float(math.Float64frombits(binary.LittleEndian.Uint64(b[off:])))
 			off += 8
 		case types.KindString:
 			slen, n := binary.Uvarint(b[off:])
-			if n <= 0 || len(b) < off+n+int(slen) {
-				return 0, errCorrupt
+			if n <= 0 || slen > uint64(len(b)-off-n) {
+				return nil, errCorrupt
 			}
 			off += n
 			t[i] = types.Str(string(b[off : off+int(slen)]))
 			off += int(slen)
 		default:
-			return 0, fmt.Errorf("spill: unknown value kind %d", k)
+			return nil, fmt.Errorf("%w: unknown value kind %d", errCorrupt, k)
 		}
 	}
-	rec.Tuple = t
-	return off, nil
+	if off != len(b) {
+		return nil, errCorrupt
+	}
+	return t, nil
 }

@@ -83,10 +83,13 @@ type OpStats struct {
 	WastedBytes Counter // modeled bytes consumed by attempts that failed
 
 	// SpillBytes counts bytes this operator wrote to spill runs under memory
-	// pressure; SpillEvents counts its bucket-discard evictions. Partitioned
-	// two-input operators (the join) carry both on their left-side block.
+	// pressure; SpillEvents counts its bucket-discard evictions; SpillPasses
+	// counts the merge phase's sub-bucket passes (the fan-out F summed over
+	// spilled partitions). Partitioned two-input operators (the join) carry
+	// all three on their left-side block.
 	SpillBytes  Counter
 	SpillEvents Counter
+	SpillPasses Counter
 
 	parts []PartStats // per-partition state counters; nil for unpartitioned ops
 }
@@ -108,6 +111,7 @@ func (o *OpStats) reset() {
 	o.WastedBytes.reset()
 	o.SpillBytes.reset()
 	o.SpillEvents.reset()
+	o.SpillPasses.reset()
 	o.parts = nil
 }
 
@@ -384,7 +388,8 @@ func (r *Registry) Report() string {
 			if parts != "" {
 				parts += " "
 			}
-			parts += fmt.Sprintf("spills=%d spill-bytes=%dB", se, op.SpillBytes.Load())
+			parts += fmt.Sprintf("spills=%d spill-bytes=%dB merge-passes=%d",
+				se, op.SpillBytes.Load(), op.SpillPasses.Load())
 		}
 		out += fmt.Sprintf("%-40s %10d %10d %10d %12d %s\n",
 			op.Name, op.In.Load(), op.Out.Load(), op.Pruned.Load(), op.StateBytes.Peak(), parts)

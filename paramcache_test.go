@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/sqlparser"
 )
 
 // TestAdhocParameterizationSharesPlans pins the literal-parameterization
@@ -157,5 +159,64 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if got := e.SlowQueries(); len(got) != slowLogSize {
 		t.Fatalf("ring held %d entries, want %d", len(got), slowLogSize)
+	}
+}
+
+// TestAdhocUnparameterizableShapeBuildsOnce pins the literal-only cache
+// entry: a statement whose normalized text fails to build (a literal divisor
+// of an aggregate, the shape of Q2A/Q2E) pays the failing normalized build
+// on its first execution only. Later executions hit the shape's entry and
+// the literal plan, so they miss nothing and therefore build nothing.
+func TestAdhocUnparameterizableShapeBuildsOnce(t *testing.T) {
+	cat := GenerateTPCH(DataConfig{ScaleFactor: 0.01})
+	e := NewEngineWithConfig(cat, EngineConfig{})
+	ref := NewEngineWithConfig(cat, EngineConfig{PlanCacheSize: -1})
+	ctx := context.Background()
+
+	const sql = `SELECT sum(l_extendedprice) / 7.0 FROM lineitem WHERE l_quantity < 10`
+	norm, _, ok := sqlparser.Normalize(sql)
+	if !ok {
+		t.Fatal("statement did not normalize")
+	}
+	if _, err := e.buildPlan(norm, Options{}); err == nil {
+		t.Fatalf("normalized text %q built; the test needs a shape that does not parameterize", norm)
+	}
+
+	want, err := ref.Query(ctx, sql, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		got, err := e.Query(ctx, sql, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != 1 || got.Rows[0].String() != want.Rows[0].String() {
+			t.Fatalf("execution %d: rows %v, want %v", i, got.Rows, want.Rows)
+		}
+		cs := e.PlanCacheStats()
+		// First execution: the normalized and the literal lookups both miss.
+		// Every later one: both hit.
+		if cs.Misses != 2 || cs.Hits != int64(2*i) {
+			t.Fatalf("execution %d: cache stats %+v, want 2 misses and %d hits", i, cs, 2*i)
+		}
+	}
+
+	// An invalid statement leaves no literal-only entry behind.
+	before := e.PlanCacheStats().Entries
+	if _, err := e.Query(ctx, `SELECT sum(no_such_column) / 7.0 FROM lineitem WHERE l_quantity < 10`, Options{}); err == nil {
+		t.Fatal("invalid statement did not error")
+	}
+	if after := e.PlanCacheStats().Entries; after != before {
+		t.Fatalf("invalid statement added %d cache entries", after-before)
+	}
+
+	// The normalized text itself still fails to build, prepared or ad hoc:
+	// the literal-only entry under its key is never handed out as a plan.
+	if _, err := e.Prepare(ctx, norm); err == nil {
+		t.Fatalf("Prepare(%q) succeeded", norm)
+	}
+	if _, err := e.Query(ctx, norm, Options{}); err == nil {
+		t.Fatalf("Query(%q) succeeded", norm)
 	}
 }

@@ -39,21 +39,42 @@ func (e *Engine) adhocPlan(sql string, opts Options) (*enginePlan, []Value, erro
 		return p, nil, perr
 	}
 	key := planKey(norm, opts, e.cat.Version())
-	if p, ok := e.cache.get(key); ok && p.numParams == len(args) {
-		return p, args, nil
+	if p, ok := e.cache.get(key); ok {
+		if p == literalOnly {
+			p, err := e.plan(sql, opts)
+			return p, nil, err
+		}
+		if p.numParams == len(args) {
+			return p, args, nil
+		}
 	}
 	p, err := e.buildPlan(norm, opts)
 	if err != nil || p.numParams != len(args) {
 		// Either the statement is genuinely invalid — rebuild from the
 		// original text so the error points at the user's own source — or
 		// a parameter was rejected where the literal was fine; the literal
-		// plan still caches under its exact text.
+		// plan still caches under its exact text. A shape whose normalized
+		// build failed is marked literal-only so its next execution skips
+		// that build.
 		p2, perr := e.plan(sql, opts)
+		if err != nil && perr == nil {
+			e.cache.put(key, literalOnly)
+		}
 		return p2, nil, perr
 	}
 	e.cache.put(key, p)
 	return p, args, nil
 }
+
+// literalOnly is the plan-cache entry of a normalized shape that does not
+// parameterize — e.g. `sum(x) / 7.0`, where the binder needs the literal's
+// value: adhocPlan routes every execution of the shape to the literal plan
+// path instead of rebuilding the normalized text, which fails again each
+// time. Invalid statements get no entry (their literal build fails too).
+// The entry shares its key with the normalized text itself, so plan treats
+// it as a miss: a caller who prepares or submits that text builds it and
+// gets the build's error.
+var literalOnly = &enginePlan{}
 
 // litValues converts the normalizer's lifted literals to typed values, the
 // way the binder lowers the same literal tokens (strconv.ParseInt /

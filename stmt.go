@@ -71,7 +71,7 @@ func (e *Engine) plan(sql string, opts Options) (*enginePlan, error) {
 		return e.buildPlan(sql, opts)
 	}
 	key := planKey(sql, opts, e.cat.Version())
-	if p, ok := e.cache.get(key); ok {
+	if p, ok := e.cache.get(key); ok && p != literalOnly {
 		return p, nil
 	}
 	p, err := e.buildPlan(sql, opts)
