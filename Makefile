@@ -30,9 +30,12 @@ bench:
 # expression differential tests, the network fault/breaker tests, the
 # blocked-filter / striped-Partial merge-exactness differentials, and the
 # wire server's concurrent-session soak / disconnect-cancellation / quota
-# tests under the race detector.
+# tests under the race detector. The repeated TestPanicContained run pins
+# that a panicking operator's error is read only after every operator
+# goroutine exited (a single run misses the race most of the time).
 test-race:
 	$(GO) test -race ./internal/exec ./internal/spill ./internal/sched ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
+	$(GO) test -race -count=200 -run 'TestPanicContained$$' ./internal/exec
 
 # chaos: the full fault-injection matrix (seeds × fault profiles ×
 # Fail/Partial × strategies) plus the recovery smoke tests, under the race

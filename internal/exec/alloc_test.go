@@ -66,7 +66,7 @@ func TestJoinProbeZeroAllocs(t *testing.T) {
 
 // TestKeyTableLookupZeroAllocs pins the table probe itself.
 func TestKeyTableLookupZeroAllocs(t *testing.T) {
-	kt := types.NewKeyTable(512)
+	var kt types.KeyTable
 	var h types.Hasher
 	for i := 0; i < 512; i++ {
 		hash, key := h.KeyCols(types.Tuple{types.Int(int64(i))}, []int{0})

@@ -272,18 +272,24 @@ func (a *rowArena) alloc(w int) types.Tuple {
 	return a.buf[start : start+w : start+w]
 }
 
-// concat builds the concatenation of l and r in the arena, the join's
-// replacement for types.Concat on the hot path.
-func (a *rowArena) concat(l, r types.Tuple) types.Tuple {
-	row := a.alloc(len(l) + len(r))
-	copy(row, l)
-	copy(row[len(l):], r)
+// join builds a joined row in the arena, the join's replacement for
+// types.Concat on the hot path: the concatenation of l and r narrowed to
+// the positions in out (HashJoin.Out), or all of it when out is nil. Every
+// match-emission site builds its rows here.
+func (a *rowArena) join(l, r types.Tuple, out []int) types.Tuple {
+	if out == nil {
+		row := a.alloc(len(l) + len(r))
+		copy(row, l)
+		copy(row[len(l):], r)
+		return row
+	}
+	row := a.alloc(len(out))
+	for k, p := range out {
+		if p < len(l) {
+			row[k] = l[p]
+		} else {
+			row[k] = r[p-len(l)]
+		}
+	}
 	return row
-}
-
-// release returns the most recently allocated row to the arena; only valid
-// immediately after alloc/concat, before the next allocation. The join uses
-// it to reclaim rows rejected by the residual predicate.
-func (a *rowArena) release(row types.Tuple) {
-	a.buf = a.buf[:len(a.buf)-len(row)]
 }

@@ -413,7 +413,9 @@ func StartPlan(ctx *Context, root Op) <-chan Batch {
 // the context was cancelled (Cancel, CancelCause, or a bound standard
 // context firing) the possibly-truncated rows are returned alongside the
 // cancellation cause, so callers can distinguish a complete result from a
-// cut-off one.
+// cut-off one. The cause is read only after every operator goroutine has
+// exited: a panicking operator's deferred close(out) can end the output
+// stream before Spawn's recover records the *PanicError.
 func Run(ctx *Context, root Op) ([]types.Tuple, error) {
 	if ctx.Ctl != nil {
 		ctx.Ctl.Begin()
@@ -422,6 +424,7 @@ func Run(ctx *Context, root Op) ([]types.Tuple, error) {
 	if ctx.Ctl != nil {
 		ctx.Ctl.End()
 	}
+	ctx.Wait()
 	return rows, ctx.Err()
 }
 

@@ -140,7 +140,6 @@ func runInlineJoin(ctx *Context, proj *Project, above []*Filter, j *HashJoin) ([
 	}
 
 	var jt joinTable
-	jt.reserve(len(build))
 	var buf []byte
 	var storedBytes int64
 	for i, t := range build {
@@ -163,9 +162,9 @@ func runInlineJoin(ctx *Context, proj *Project, above []*Filter, j *HashJoin) ([
 		matches = jt.probe(types.Hash64(buf, 0), buf, maxSeq, matches[:0])
 		for _, m := range matches {
 			if buildIsLeft {
-				joined = append(joined, arena.concat(m, t))
+				joined = append(joined, arena.join(m, t, j.Out))
 			} else {
-				joined = append(joined, arena.concat(t, m))
+				joined = append(joined, arena.join(t, m, j.Out))
 			}
 		}
 	}

@@ -40,7 +40,12 @@ type HashJoin struct {
 	Left, Right Op
 	LKeys       []int     // equi-key columns of the left schema
 	RKeys       []int     // equi-key columns of the right schema
-	Residual    expr.Expr // evaluated over the concatenated schema, may be nil
+	Residual    expr.Expr // evaluated over the output schema, may be nil
+	// Out lists the positions of the concatenated left++right schema that
+	// the join emits, in order; nil emits them all. The optimizer drops the
+	// columns nothing above the join reads, so joined rows — and the state
+	// of the joins that buffer them — carry only what is used.
+	Out []int
 
 	// LPoint and RPoint are the AIP injection points for the two inputs.
 	LPoint, RPoint *Point
@@ -48,7 +53,7 @@ type HashJoin struct {
 	sch *types.Schema
 }
 
-// NewHashJoin wires up the join.
+// NewHashJoin wires up the join, emitting every column of both inputs.
 func NewHashJoin(name string, left, right Op, lkeys, rkeys []int, residual expr.Expr) *HashJoin {
 	return &HashJoin{
 		Name: name, Left: left, Right: right,
@@ -57,7 +62,19 @@ func NewHashJoin(name string, left, right Op, lkeys, rkeys []int, residual expr.
 	}
 }
 
-// Schema returns the concatenated output schema.
+// KeepCols narrows the join's output to the listed positions of the
+// concatenated left++right schema (nil restores all of them). Set it
+// before Start; the residual must be bound against the narrowed schema.
+func (j *HashJoin) KeepCols(out []int) {
+	j.Out = out
+	j.sch = j.Left.Schema().Concat(j.Right.Schema())
+	if out != nil {
+		j.sch = j.sch.Project(out)
+	}
+}
+
+// Schema returns the output schema: the concatenated input schemas,
+// narrowed to Out.
 func (j *HashJoin) Schema() *types.Schema { return j.sch }
 
 // joinEntry is one stored tuple with its insertion ticket, chained to the
@@ -70,31 +87,82 @@ type joinEntry struct {
 
 // joinTable is the open-addressing hash table of one join side within one
 // partition: a KeyTable maps the key hash + bytes to a dense id, heads[id]
-// starts the per-key chain through entries. Inserting a tuple costs no
-// allocation beyond amortized slice growth — in particular no string key
-// and no per-key bucket slice.
+// starts the per-key chain through the entries. Inserting a tuple costs no
+// allocation beyond amortized growth — in particular no string key and no
+// per-key bucket slice.
+//
+// State is sized by arrivals, not by the optimizer's estimate: the table
+// starts empty and grows as tuples are stored, so tuples AIP prunes before
+// they arrive never cost memory. Entries live in append-only chunks — a
+// first chunk that doubles from joinChunkFirst up to joinChunkSize, then
+// fixed chunks of joinChunkSize — so growth never copies or re-zeroes a
+// full chunk, and an entry's address is stable once stored. memBytes
+// charges the allocated capacity (chunks, chain heads, key index), not
+// just the stored entries.
 type joinTable struct {
 	idx      types.KeyTable
-	heads    []int32 // per key id: 1-based index of the newest entry
-	entries  []joinEntry
-	tupBytes int64 // Σ MemSize of stored tuples, for state accounting
+	heads    []int32       // per key id: 1-based index of the newest entry
+	chunks   [][]joinEntry // entry e (1-based) is chunks[(e-1)/joinChunkSize][(e-1)%joinChunkSize]
+	n        int32         // stored entries
+	entCap   int           // Σ cap(chunks[i]), for state accounting
+	tupBytes int64         // Σ MemSize of stored tuples, for state accounting
 }
 
-// reserve pre-sizes the table for about n stored tuples (the optimizer's
-// cardinality estimate divided by the partition count), avoiding most
-// doubling-growth garbage on the insert path. n <= 0 leaves the lazy
-// defaults.
-func (jt *joinTable) reserve(n int) {
-	if n <= 0 {
-		return
+// Entry chunk sizes: the first chunk grows from joinChunkFirst entries (a
+// join side that stores a handful of tuples allocates ~2.5 KB), every later
+// chunk holds joinChunkSize.
+const (
+	joinChunkFirst = 64
+	joinChunkSize  = 1024
+)
+
+// entry returns the stored entry with 1-based index e.
+func (jt *joinTable) entry(e int32) *joinEntry {
+	i := uint32(e - 1)
+	return &jt.chunks[i/joinChunkSize][i%joinChunkSize]
+}
+
+// push appends one entry chained to the current head of key id.
+func (jt *joinTable) push(id int32, t types.Tuple, seq uint64) {
+	last := len(jt.chunks) - 1
+	if last < 0 || len(jt.chunks[last]) == cap(jt.chunks[last]) {
+		jt.addChunk()
+		last = len(jt.chunks) - 1
 	}
-	const maxHint = 1 << 20 // cap mis-estimates: 1M entries ≈ 40MB
-	if n > maxHint {
-		n = maxHint
+	jt.chunks[last] = append(jt.chunks[last], joinEntry{t: t, seq: seq, next: jt.heads[id]})
+	jt.n++
+	jt.heads[id] = jt.n
+	jt.tupBytes += int64(t.MemSize())
+}
+
+// addChunk makes room for one more entry: the first chunk doubles until it
+// reaches joinChunkSize, after which full chunks are left in place and a
+// fresh one is appended.
+func (jt *joinTable) addChunk() {
+	switch c := len(jt.chunks); {
+	case c == 0:
+		jt.chunks = append(jt.chunks, make([]joinEntry, 0, joinChunkFirst))
+		jt.entCap = joinChunkFirst
+	case c == 1 && cap(jt.chunks[0]) < joinChunkSize:
+		grown := make([]joinEntry, len(jt.chunks[0]), 2*cap(jt.chunks[0]))
+		copy(grown, jt.chunks[0])
+		jt.chunks[0] = grown
+		jt.entCap = cap(grown)
+	default:
+		jt.chunks = append(jt.chunks, make([]joinEntry, 0, joinChunkSize))
+		jt.entCap += joinChunkSize
 	}
-	jt.idx.Reserve(n)
-	jt.heads = make([]int32, 0, n)
-	jt.entries = make([]joinEntry, 0, n)
+}
+
+// each emits every stored tuple in insertion order, stopping when emit
+// returns false; it reports whether the walk ran to the end.
+func (jt *joinTable) each(emit func(types.Tuple) bool) bool {
+	for e := int32(1); e <= jt.n; e++ {
+		if !emit(jt.entry(e).t) {
+			return false
+		}
+	}
+	return true
 }
 
 func (jt *joinTable) insert(h uint64, key []byte, t types.Tuple, seq uint64) {
@@ -102,9 +170,7 @@ func (jt *joinTable) insert(h uint64, key []byte, t types.Tuple, seq uint64) {
 	if added {
 		jt.heads = append(jt.heads, 0)
 	}
-	jt.entries = append(jt.entries, joinEntry{t: t, seq: seq, next: jt.heads[id]})
-	jt.heads[id] = int32(len(jt.entries))
-	jt.tupBytes += int64(t.MemSize())
+	jt.push(id, t, seq)
 }
 
 // insertBatch inserts a whole scatter with consecutive tickets starting at
@@ -115,13 +181,10 @@ func (jt *joinTable) insert(h uint64, key []byte, t types.Tuple, seq uint64) {
 func (jt *joinTable) insertBatch(sb *scatter, baseSeq uint64, ids []int32, added []bool) {
 	jt.idx.InsertBatch(sb.hashes, sb.keys, sb.offs, ids, added)
 	for i, t := range sb.tuples {
-		id := ids[i]
 		if added[i] {
 			jt.heads = append(jt.heads, 0)
 		}
-		jt.entries = append(jt.entries, joinEntry{t: t, seq: baseSeq + uint64(i) + 1, next: jt.heads[id]})
-		jt.heads[id] = int32(len(jt.entries))
-		jt.tupBytes += int64(t.MemSize())
+		jt.push(ids[i], t, baseSeq+uint64(i)+1)
 	}
 }
 
@@ -137,7 +200,7 @@ func (jt *joinTable) probeID(id int32, maxSeq uint64, dst []types.Tuple) []types
 		return dst
 	}
 	for e := jt.heads[id]; e != 0; {
-		ent := &jt.entries[e-1]
+		ent := jt.entry(e)
 		if ent.seq < maxSeq {
 			dst = append(dst, ent.t)
 		}
@@ -209,12 +272,6 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 	for p := range parts {
 		parts[p] = &joinPart{in: make(chan *scatter, ctx.pipeDepth())}
 		partIns[p] = parts[p].in
-		for s, in := range inputs {
-			if in.point != nil {
-				parts[p].tables[s].reserve(reserveHint(ctx, in.point.EstRows, P))
-			}
-		}
-		parts[p].initAccount(ctx, ops)
 	}
 
 	// finish marks one input complete: its state is immutable from here on
@@ -226,10 +283,8 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 			side := own.side
 			own.point.setStateIter(func(emit func(types.Tuple) bool) {
 				for _, pt := range parts {
-					for i := range pt.tables[side].entries {
-						if !emit(pt.tables[side].entries[i].t) {
-							return
-						}
+					if !pt.tables[side].each(emit) {
+						return
 					}
 				}
 			})
@@ -414,9 +469,9 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 				for _, m := range matches {
 					var row types.Tuple
 					if ownIsLeft {
-						row = arena.concat(t, m)
+						row = arena.join(t, m, j.Out)
 					} else {
-						row = arena.concat(m, t)
+						row = arena.join(m, t, j.Out)
 					}
 					outBatch.Tuples = append(outBatch.Tuples, row)
 					if len(outBatch.Tuples) == BatchSize {
@@ -476,7 +531,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 			if resC == nil {
 				resC = expr.Compile(j.Residual)
 			}
-			if !pt.mergeSpill(ctx, ops, lop.Name, resC, func(b Batch) bool {
+			if !pt.mergeSpill(ctx, ops, lop.Name, resC, j.Out, func(b Batch) bool {
 				n := int64(b.Len())
 				if !send(ctx, out, b) {
 					return false

@@ -64,10 +64,10 @@ const joinEntryBytes = 40
 const spillMaxFanout = 64
 
 // memBytes approximates the table's accounted footprint: key index, chain
-// arrays, and stored tuple payloads.
+// heads, allocated entry chunks, and stored tuple payloads.
 func (jt *joinTable) memBytes() int64 {
 	return int64(jt.idx.MemSize()) + int64(cap(jt.heads))*4 +
-		int64(cap(jt.entries))*joinEntryBytes + jt.tupBytes
+		int64(jt.entCap)*joinEntryBytes + jt.tupBytes
 }
 
 // joinCore is the partition-local join state shared by the chan and morsel
@@ -92,37 +92,6 @@ func (jc *joinCore) runBytes() int64 { return jc.runs[0].Bytes() + jc.runs[1].By
 // memBytes is the partition's current accounted footprint.
 func (jc *joinCore) memBytes() int64 {
 	return jc.tables[0].memBytes() + jc.tables[1].memBytes()
-}
-
-// joinReserveBytes bounds the bytes one reserved entry charges before any
-// tuple arrives: up to four KeyTable slots, a chain head and a chain entry.
-const joinReserveBytes = 16 + 4 + joinEntryBytes
-
-// reserveHint is one side's pre-size hint for one of P partitions: the
-// optimizer's row estimate split evenly, capped under a memory budget so the
-// reservation initAccount charges up front fits the partition's share. The
-// two sides together may reserve at most the memPressure floor, budget / 2
-// per accounted partition; without the cap an over-estimate is charged
-// before any eviction can fire and sets the capped peak on its own.
-func reserveHint(ctx *Context, estRows float64, P int) int {
-	n := int(estRows) / P
-	if ctx.MemBudget > 0 {
-		parts := max(int64(P), ctx.memParts.Load())
-		n = min(n, int(ctx.MemBudget/(4*parts*joinReserveBytes)))
-	}
-	return n
-}
-
-// initAccount charges the reserved (pre-sized) tables to the query budget so
-// the invariant bytes == memBytes() holds from the first batch on.
-func (jc *joinCore) initAccount(ctx *Context, ops [2]*stats.OpStats) {
-	for s := range jc.tables {
-		if d := jc.tables[s].memBytes(); d > 0 {
-			ctx.account(d)
-			ops[s].StateBytes.Add(d)
-			jc.bytes += d
-		}
-	}
 }
 
 // epochOf returns the eviction epoch of a ticket: the number of boundaries
@@ -183,7 +152,7 @@ func (jc *joinCore) writeTables() error {
 			rec.Hash = t.idx.Hash(id)
 			rec.Key = t.idx.Key(id)
 			for e := t.heads[id]; e != 0; {
-				ent := &t.entries[e-1]
+				ent := t.entry(e)
 				rec.Seq = ent.seq
 				rec.Tuple = ent.t
 				if err := run.Append(&rec); err != nil {
@@ -257,11 +226,11 @@ func (jc *joinCore) spillArrivals(sb *scatter, base uint64) error {
 // mergeSpill drains a spilled partition after input-done, emitting exactly
 // the cross-epoch match pairs phase 1 could not see. emit receives dense or
 // selection-carrying batches ready to send downstream (residual already
-// applied) and reports false on cancellation. mergeSpill returns false when
-// the query failed or was cancelled; it closes and removes the runs either
-// way. Callers pass their own compiled residual (expr.Compiled carries
-// scratch and is not concurrency-safe).
-func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName string, resC *expr.Compiled, emit func(Batch) bool) bool {
+// applied) and reports false on cancellation; out is the join's HashJoin.Out.
+// mergeSpill returns false when the query failed or was cancelled; it
+// closes and removes the runs either way. Callers pass their own compiled
+// residual (expr.Compiled carries scratch and is not concurrency-safe).
+func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName string, resC *expr.Compiled, out []int, emit func(Batch) bool) bool {
 	if !jc.hasSpilled() {
 		return true
 	}
@@ -374,7 +343,7 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 				pe := epochOf(jc.boundaries, rec.Seq)
 				var pt types.Tuple // decoded at the first cross-epoch pair
 				for e := bt.heads[id]; e != 0; {
-					ent := &bt.entries[e-1]
+					ent := bt.entry(e)
 					if epochOf(jc.boundaries, ent.seq) != pe {
 						if pt == nil {
 							if pt, err = rec.DecodeTuple(); err != nil {
@@ -383,9 +352,9 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 						}
 						var row types.Tuple
 						if buildIsLeft {
-							row = arena.concat(ent.t, pt)
+							row = arena.join(ent.t, pt, out)
 						} else {
-							row = arena.concat(pt, ent.t)
+							row = arena.join(pt, ent.t, out)
 						}
 						outBatch.Tuples = append(outBatch.Tuples, row)
 						if len(outBatch.Tuples) == BatchSize && !flush() {

@@ -752,6 +752,7 @@ type mJoin struct {
 	P     int
 	shift uint
 
+	out    []int // HashJoin.Out
 	parts  []*mJoinPart
 	inputs [2]*joinInput
 	route  []mJoinRoute
@@ -767,7 +768,7 @@ func newMJoin(r *morselRun, j *HashJoin, down mChain) *mJoin {
 	rop := r.ctx.Stats.NewOp("join:" + j.Name + ".right")
 	lop.SetPartitions(P)
 	rop.SetPartitions(P)
-	m := &mJoin{run: r, down: down, P: P, shift: partShift(P)}
+	m := &mJoin{run: r, down: down, P: P, shift: partShift(P), out: j.Out}
 	m.inputs[0] = &joinInput{side: 0, keys: j.LKeys, point: j.LPoint, op: lop}
 	m.inputs[1] = &joinInput{side: 1, keys: j.RKeys, point: j.RPoint, op: rop}
 	m.inputs[0].pending.Store(1)
@@ -779,14 +780,7 @@ func newMJoin(r *morselRun, j *HashJoin, down mChain) *mJoin {
 	}
 	m.parts = make([]*mJoinPart, P)
 	for p := range m.parts {
-		pt := &mJoinPart{resC: expr.Compile(j.Residual)}
-		for s, in := range m.inputs {
-			if in.point != nil {
-				pt.tables[s].reserve(reserveHint(r.ctx, in.point.EstRows, P))
-			}
-		}
-		pt.initAccount(r.ctx, [2]*stats.OpStats{lop, rop})
-		m.parts[p] = pt
+		m.parts[p] = &mJoinPart{resC: expr.Compile(j.Residual)}
 	}
 	m.route = make([]mJoinRoute, r.nw)
 	for i := range m.route {
@@ -935,9 +929,9 @@ scan:
 		for _, mt := range pt.matches {
 			var row types.Tuple
 			if ownIsLeft {
-				row = pt.arena.concat(t, mt)
+				row = pt.arena.join(t, mt, m.out)
 			} else {
-				row = pt.arena.concat(mt, t)
+				row = pt.arena.join(mt, t, m.out)
 			}
 			outBatch.Tuples = append(outBatch.Tuples, row)
 			if len(outBatch.Tuples) == BatchSize && !emit() {
@@ -1010,10 +1004,8 @@ func (m *mJoin) finish(w int, in *joinInput) {
 		parts := m.parts
 		in.point.setStateIter(func(emit func(types.Tuple) bool) {
 			for _, pt := range parts {
-				for i := range pt.tables[side].entries {
-					if !emit(pt.tables[side].entries[i].t) {
-						return
-					}
+				if !pt.tables[side].each(emit) {
+					return
 				}
 			}
 		})
@@ -1049,7 +1041,7 @@ func (m *mJoin) mergeSpilled(dw int) {
 		if !pt.hasSpilled() {
 			continue
 		}
-		if !pt.mergeSpill(ctx, ops, ops[0].Name, pt.resC, func(b Batch) bool {
+		if !pt.mergeSpill(ctx, ops, ops[0].Name, pt.resC, m.out, func(b Batch) bool {
 			n := int64(b.Len())
 			if !m.down.push(dw, b) {
 				return false

@@ -25,7 +25,9 @@ func runSched(op Op, parallelism int, scheduler string) ([]types.Tuple, *stats.R
 // TestMorselDifferentialJoin is the central acceptance property: the morsel
 // scheduler must produce exactly the chan scheduler's result multiset, at
 // every fan-out, on a join with duplicate keys (multi-match chains) and a
-// residual predicate.
+// residual predicate. The hot input stores one key's chain across more
+// than three entry chunks; both schedulers must match a nested-loop join
+// on it, and each side's state iterator must walk every stored tuple.
 func TestMorselDifferentialJoin(t *testing.T) {
 	const n = 6000
 	lrows := make([]types.Tuple, n)
@@ -34,43 +36,58 @@ func TestMorselDifferentialJoin(t *testing.T) {
 		lrows[i] = types.Tuple{types.Int(int64(i % 200)), types.Int(int64(i))}
 		rrows[i] = types.Tuple{types.Int(int64((n - 1 - i) % 200)), types.Int(int64(i))}
 	}
+	hotL, hotR := hotKeyRows()
 	residual := &expr.Binary{Op: expr.OpLt,
 		L: &expr.ColRef{Idx: 1, Col: types.Column{Kind: types.KindInt}},
 		R: &expr.ColRef{Idx: 3, Col: types.Column{Kind: types.KindInt}}}
-	build := func() *HashJoin {
-		j := buildJoin(lrows, rrows)
-		j.Residual = residual
-		return j
-	}
-	want, _, err := runSched(build(), 1, SchedulerChan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("baseline produced no rows — test is vacuous")
-	}
-	wantS := rowStrings(want)
-	for _, p := range []int{1, 2, 4, 8} {
-		got, reg, err := runSched(build(), p, SchedulerMorsel)
+	for _, in := range []struct {
+		name         string
+		lrows, rrows []types.Tuple
+		reference    bool // also check against a nested-loop join
+	}{
+		{name: "dup", lrows: lrows, rrows: rrows},
+		{name: "hot", lrows: hotL, rrows: hotR, reference: true},
+	} {
+		build := func() *HashJoin {
+			j := buildJoin(in.lrows, in.rrows)
+			j.Residual = residual
+			return j
+		}
+		want, _, err := runSched(build(), 1, SchedulerChan)
 		if err != nil {
-			t.Fatalf("morsel P=%d: %v", p, err)
+			t.Fatal(err)
 		}
-		sameRows(t, fmt.Sprintf("morsel P=%d", p), wantS, rowStrings(got))
-		if reg.SchedMorsels.Load() == 0 {
-			t.Fatalf("morsel P=%d: no scheduler tasks recorded", p)
+		if len(want) == 0 {
+			t.Fatalf("%s: baseline produced no rows — test is vacuous", in.name)
 		}
-		// Per-partition counters must fold to the side totals, as on chan.
-		for _, op := range reg.Ops() {
-			if op.Class != "join" {
-				continue
+		wantS := rowStrings(want)
+		if in.reference {
+			sameRows(t, in.name+" chan P=1 vs nested loop", rowStrings(nestedLoopJoin(in.lrows, in.rrows, residual)), wantS)
+		}
+		for _, p := range []int{1, 2, 4, 8} {
+			j := build()
+			got, reg, err := runSched(j, p, SchedulerMorsel)
+			if err != nil {
+				t.Fatalf("%s morsel P=%d: %v", in.name, p, err)
 			}
-			var partRows int64
-			for i := 0; i < op.Partitions(); i++ {
-				partRows += op.Part(i).Rows.Load()
+			sameRows(t, fmt.Sprintf("%s morsel P=%d", in.name, p), wantS, rowStrings(got))
+			if reg.SchedMorsels.Load() == 0 {
+				t.Fatalf("%s morsel P=%d: no scheduler tasks recorded", in.name, p)
 			}
-			if partRows != op.StateRows.Load() {
-				t.Fatalf("morsel P=%d: op %s partition rows %d != state rows %d",
-					p, op.Name, partRows, op.StateRows.Load())
+			checkStateIter(t, fmt.Sprintf("%s morsel P=%d", in.name, p), j)
+			// Per-partition counters must fold to the side totals, as on chan.
+			for _, op := range reg.Ops() {
+				if op.Class != "join" {
+					continue
+				}
+				var partRows int64
+				for i := 0; i < op.Partitions(); i++ {
+					partRows += op.Part(i).Rows.Load()
+				}
+				if partRows != op.StateRows.Load() {
+					t.Fatalf("%s morsel P=%d: op %s partition rows %d != state rows %d",
+						in.name, p, op.Name, partRows, op.StateRows.Load())
+				}
 			}
 		}
 	}

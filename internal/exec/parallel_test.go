@@ -87,6 +87,88 @@ func sameRows(t *testing.T, label string, want, got []string) {
 	}
 }
 
+// hotKeyRows returns buildJoin inputs whose left side stores one key's
+// chain across more than three entry chunks. The right side is larger, so
+// the left usually completes first and is stored whole; five right rows
+// carry the hot key and probe the whole chain.
+func hotKeyRows() (lrows, rrows []types.Tuple) {
+	nl := 3*joinChunkSize + 500
+	lrows = make([]types.Tuple, nl)
+	for i := range lrows {
+		lrows[i] = types.Tuple{types.Int(7), types.Int(int64(i))}
+	}
+	rrows = make([]types.Tuple, 5*nl)
+	for i := range rrows {
+		key := int64(1_000_000 + i) // matches nothing
+		if i%nl == 0 {
+			key = 7
+		}
+		rrows[i] = types.Tuple{types.Int(key), types.Int(int64(i / 4))}
+	}
+	return lrows, rrows
+}
+
+// nestedLoopJoin is the reference equi-join on column 0 of both inputs,
+// with an optional residual over the concatenated row.
+func nestedLoopJoin(lrows, rrows []types.Tuple, residual expr.Expr) []types.Tuple {
+	var out []types.Tuple
+	for _, l := range lrows {
+		for _, r := range rrows {
+			if l[0] != r[0] {
+				continue
+			}
+			row := types.Concat(l, r)
+			if residual == nil || residual.Eval(row).Truth() {
+				out = append(out, row)
+			}
+		}
+	}
+	return out
+}
+
+// checkStateIter asserts that each side's state iterator walks exactly the
+// tuples the side stored, across every partition and entry chunk.
+func checkStateIter(t *testing.T, label string, j *HashJoin) {
+	t.Helper()
+	for _, p := range []*Point{j.LPoint, j.RPoint} {
+		var seen int64
+		p.IterState(func(types.Tuple) bool { seen++; return true })
+		if seen != p.StoredRows() {
+			t.Fatalf("%s: %s state iter saw %d tuples, stored %d", label, p.Name, seen, p.StoredRows())
+		}
+	}
+}
+
+// TestJoinStateFollowsArrivals: join state is sized by the tuples that
+// arrive, not by the optimizer's estimate. Sides estimated at a million
+// rows that receive 100 each must stay within a few kilobytes.
+func TestJoinStateFollowsArrivals(t *testing.T) {
+	rows := make([]types.Tuple, 100)
+	for i := range rows {
+		rows[i] = types.Tuple{types.Int(int64(i)), types.Int(int64(i))}
+	}
+	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
+		j := buildJoin(rows, rows)
+		j.LPoint.EstRows, j.RPoint.EstRows = 1e6, 1e6
+		got, reg, err := runSched(j, 4, sched)
+		if err != nil {
+			t.Fatalf("%s: %v", sched, err)
+		}
+		if len(got) != len(rows) {
+			t.Fatalf("%s: %d rows, want %d", sched, len(got), len(rows))
+		}
+		for _, op := range reg.Ops() {
+			if op.Class != "join" {
+				continue
+			}
+			if p := op.StateBytes.Peak(); p >= 64<<10 {
+				t.Fatalf("%s: %s state peak %d bytes for %d stored rows, want < 64 KiB",
+					sched, op.Name, p, op.StateRows.Load())
+			}
+		}
+	}
+}
+
 // TestJoinPartitionDeterminism is the acceptance property of the radix
 // partitioned join: every partition fan-out produces exactly the same
 // result multiset as the single-partition path, on a shape with duplicate

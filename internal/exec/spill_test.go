@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/expr"
 	"repro/internal/plan"
@@ -15,22 +16,41 @@ import (
 // spillJoin builds a join whose state is dominated by a wide string payload
 // column, with duplicate keys (multi-match chains) and a residual predicate,
 // so the spill path is exercised on the same shape the differential morsel
-// tests use.
-func spillJoin(n, pad int) *HashJoin {
+// tests use. With hot > 0 the first hot left rows share one key, which
+// eight right rows also carry, so that key's chain crosses entry chunks
+// through probe, eviction and merge. The right input then starts only
+// after the left is stored whole (a 300 ms delay), so the unbounded peak
+// is the left side's state rather than a race between the inputs, and its
+// payload is eight times as wide, making the left the merge's build side.
+func spillJoin(n, pad, hot int) *HashJoin {
 	sch := types.NewSchema(
 		types.Column{Table: "t", Name: "a", Kind: types.KindInt},
 		types.Column{Table: "t", Name: "x", Kind: types.KindString},
 		types.Column{Table: "t", Name: "p", Kind: types.KindInt},
 	)
-	filler := strings.Repeat("x", pad)
+	lfill, rfill := strings.Repeat("x", pad), strings.Repeat("x", pad)
+	if hot > 0 {
+		rfill = strings.Repeat("x", 8*pad)
+	}
+	const hotKey = 211 // no other row's key: they are taken mod 211
 	lrows := make([]types.Tuple, n)
 	rrows := make([]types.Tuple, n)
 	for i := 0; i < n; i++ {
-		lrows[i] = types.Tuple{types.Int(int64(i % 211)), types.Str(filler), types.Int(int64(i))}
-		rrows[i] = types.Tuple{types.Int(int64((n - 1 - i) % 211)), types.Str(filler), types.Int(int64(i))}
+		lkey, rkey := int64(i%211), int64((n-1-i)%211)
+		if i < hot {
+			lkey = hotKey
+		}
+		if hot > 0 && i%(n/8) == 0 {
+			rkey = hotKey
+		}
+		lrows[i] = types.Tuple{types.Int(lkey), types.Str(lfill), types.Int(int64(i))}
+		rrows[i] = types.Tuple{types.Int(rkey), types.Str(rfill), types.Int(int64(i))}
 	}
 	l := &Scan{Name: "l", Rows: lrows, Sch: sch}
 	r := &Scan{Name: "r", Rows: rrows, Sch: sch}
+	if hot > 0 {
+		r.Delay = &DelayConfig{Initial: 300 * time.Millisecond}
+	}
 	res := &expr.Binary{Op: expr.OpLt,
 		L: &expr.ColRef{Idx: 2, Col: types.Column{Kind: types.KindInt}},
 		R: &expr.ColRef{Idx: 5, Col: types.Column{Kind: types.KindInt}},
@@ -55,17 +75,21 @@ func runSpill(op Op, budget int64, parallelism int, scheduler string) ([]types.T
 // run, on both schedulers, while actually spilling, and with the tracked
 // peak held near the budget. The second input has fewer, fuller partitions,
 // so the merge must split a partition's build side into F ≥ 4 sub-buckets
-// (one build table and one probe scan per sub-bucket).
+// (one build table and one probe scan per sub-bucket). The third stores a
+// hot key's chain across more than three entry chunks; one key cannot be
+// split into sub-buckets, so its merge table alone is about half the left
+// side's state, and its budget is peak/2.
 func TestJoinSpillDifferential(t *testing.T) {
 	for _, in := range []struct {
-		n, pad, P int
-		divs      []int64
-		minFanout int64 // some partition's merge fans out at least this far
+		n, pad, P, hot int
+		divs           []int64
+		minFanout      int64 // some partition's merge fans out at least this far
 	}{
 		{n: 4000, pad: 64, P: 4, divs: []int64{4, 16}, minFanout: 1},
 		{n: 6000, pad: 128, P: 2, divs: []int64{4}, minFanout: 4},
+		{n: 6000, pad: 16, P: 2, hot: 3*joinChunkSize + 500, divs: []int64{2}, minFanout: 1},
 	} {
-		want, base, err := runSpill(spillJoin(in.n, in.pad), 0, in.P, SchedulerChan)
+		want, base, err := runSpill(spillJoin(in.n, in.pad, in.hot), 0, in.P, SchedulerChan)
 		if err != nil {
 			t.Fatalf("n=%d unbounded run: %v", in.n, err)
 		}
@@ -77,12 +101,17 @@ func TestJoinSpillDifferential(t *testing.T) {
 			t.Fatalf("n=%d unbounded run tracked no state bytes", in.n)
 		}
 		wantS := rowStrings(want)
+		if in.hot > 0 {
+			j := spillJoin(in.n, in.pad, in.hot)
+			ref := nestedLoopJoin(j.Left.(*Scan).Rows, j.Right.(*Scan).Rows, j.Residual)
+			sameRows(t, fmt.Sprintf("n=%d unbounded vs nested loop", in.n), rowStrings(ref), wantS)
+		}
 
 		for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
 			for _, div := range in.divs {
-				label := fmt.Sprintf("%s n=%d budget=peak/%d", sched, in.n, div)
+				label := fmt.Sprintf("%s n=%d hot=%d budget=peak/%d", sched, in.n, in.hot, div)
 				budget := peak / div
-				got, ctx, err := runSpill(spillJoin(in.n, in.pad), budget, in.P, sched)
+				got, ctx, err := runSpill(spillJoin(in.n, in.pad, in.hot), budget, in.P, sched)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -275,7 +304,7 @@ func TestDistinctSpillTinyBudget(t *testing.T) {
 // fan-out must fail promptly with a typed *BudgetError, not thrash.
 func TestJoinSpillTinyBudget(t *testing.T) {
 	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		rows, ctx, err := runSpill(spillJoin(3000, 128), 4<<10, 4, sched)
+		rows, ctx, err := runSpill(spillJoin(3000, 128, 0), 4<<10, 4, sched)
 		var be *BudgetError
 		if !errors.As(err, &be) {
 			t.Fatalf("%s: err = %v, want *BudgetError (rows=%d spills=%d spillBytes=%d peak=%d)",

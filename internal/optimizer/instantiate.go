@@ -131,6 +131,7 @@ func (in *instantiator) op(o exec.Op) (exec.Op, error) {
 			return nil, err
 		}
 		j := exec.NewHashJoin(v.Name, left, right, v.LKeys, v.RKeys, residual)
+		j.KeepCols(v.Out)
 		j.LPoint = in.point(v.LPoint)
 		j.RPoint = in.point(v.RPoint)
 		return j, nil

@@ -12,6 +12,17 @@
 // injection point: attribute equivalence classes, cardinality estimates,
 // per-attribute domain sizes, plan depth, and ancestor chains — the
 // services ESTIMATEBENEFIT (Fig. 4 of the paper) re-invokes at runtime.
+//
+// Each join emits only the columns read above it (HashJoin.Out), since a
+// joined row is buffered again as state by every join above. A column of
+// the concatenated inputs is kept when an equi conjunct names it — applied
+// or not — when a conjunct not yet applied reads it (this join's residual
+// among them), or when the block's grouping, aggregates or non-aggregated
+// output read it. Equi columns stay even after their join is done because
+// they carry the AIP equivalence classes: an injection point above can
+// only be probed, and its state can only feed a filter, on a column it
+// still has, so dropping them would silently remove filter sites. Scans
+// are not narrowed; their rows stay zero-copy references to the catalog.
 package optimizer
 
 import (
@@ -407,7 +418,12 @@ func (o *builder) buildJoin(b *plan.Block, l, r *component, used []bool, name st
 		merged.est = 1
 	}
 
-	// Residual: remaining conjuncts fully contained in the merged set.
+	// Emit only the columns read above this join. The residual's
+	// conjuncts are not marked used yet, so their columns stay.
+	out := keepRead(merged, nl+r.op.Schema().Len(), readAbove(b, used))
+
+	// Residual: remaining conjuncts fully contained in the merged set,
+	// bound against the join's output positions.
 	var residuals []expr.Expr
 	for ci, c := range b.Conjuncts {
 		if used[ci] {
@@ -426,6 +442,7 @@ func (o *builder) buildJoin(b *plan.Block, l, r *component, used []bool, name st
 	}
 
 	j := exec.NewHashJoin(name, l.op, r.op, lkeys, rkeys, expr.And(residuals...))
+	j.KeepCols(out)
 	j.LPoint = o.newPoint(name+".left", b, l, true, 0)
 	j.LPoint.KeyCols = append([]int(nil), lkeys...)
 	j.RPoint = o.newPoint(name+".right", b, r, true, 0)
@@ -438,6 +455,60 @@ func (o *builder) buildJoin(b *plan.Block, l, r *component, used []bool, name st
 	merged.op = j
 	clampDistinct(merged)
 	return merged, nil
+}
+
+// readAbove marks the global columns of b that something above the join
+// being built may read, by the column-keeping rule of the package doc.
+func readAbove(b *plan.Block, used []bool) []bool {
+	read := make([]bool, b.Global.Len())
+	mark := func(e expr.Expr) {
+		for _, g := range expr.CollectCols(e, nil) {
+			read[g] = true
+		}
+	}
+	for ci, c := range b.Conjuncts {
+		if c.IsEqui {
+			read[c.LCol], read[c.RCol] = true, true
+		}
+		if !used[ci] {
+			mark(c.E)
+		}
+	}
+	for _, g := range b.GroupBy {
+		mark(g)
+	}
+	for _, a := range b.Aggs {
+		mark(a.Arg)
+	}
+	if len(b.GroupBy) == 0 && len(b.Aggs) == 0 {
+		for _, o := range b.Output {
+			mark(o.E)
+		}
+	}
+	return read
+}
+
+// keepRead narrows comp, whose colmap addresses a width-n concatenated
+// schema, to the columns marked in read. It rewrites colmap to the kept
+// positions and returns them in order, or nil when every column is kept.
+func keepRead(comp *component, n int, read []bool) []int {
+	global := make([]int, n)
+	for g, p := range comp.colmap {
+		global[p] = g
+	}
+	out := make([]int, 0, n)
+	colmap := make(map[int]int, n)
+	for p, g := range global {
+		if read[g] {
+			colmap[g] = len(out)
+			out = append(out, p)
+		}
+	}
+	comp.colmap = colmap
+	if len(out) == n {
+		return nil
+	}
+	return out
 }
 
 func relsSubset(rels []int, set map[int]bool) bool {

@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/stats"
 	"repro/internal/tpch"
 	"repro/internal/types"
+	"repro/internal/workload"
 )
 
 func bind(t *testing.T, sql string) *plan.Block {
@@ -338,6 +340,137 @@ func TestOrderedOutputsDeterministic(t *testing.T) {
 	for i := range ca {
 		if ca[i] != cb[i] {
 			t.Fatalf("plans disagree: %s vs %s", ca[i], cb[i])
+		}
+	}
+}
+
+// joins collects every hash join of a plan, outermost first.
+func joins(op exec.Op, dst []*exec.HashJoin) []*exec.HashJoin {
+	switch v := op.(type) {
+	case *exec.Filter:
+		return joins(v.Child, dst)
+	case *exec.Project:
+		return joins(v.Child, dst)
+	case *exec.Ship:
+		return joins(v.Child, dst)
+	case *exec.Distinct:
+		return joins(v.Child, dst)
+	case *exec.HashAgg:
+		return joins(v.Child, dst)
+	case *exec.HashJoin:
+		return joins(v.Right, joins(v.Left, append(dst, v)))
+	}
+	return dst
+}
+
+// colRefs collects the column references of an expression.
+func colRefs(e expr.Expr, dst []*expr.ColRef) []*expr.ColRef {
+	switch v := e.(type) {
+	case *expr.ColRef:
+		return append(dst, v)
+	case *expr.Binary:
+		return colRefs(v.R, colRefs(v.L, dst))
+	case *expr.Not:
+		return colRefs(v.E, dst)
+	case *expr.Like:
+		return colRefs(v.E, dst)
+	case *expr.Year:
+		return colRefs(v.E, dst)
+	}
+	return dst
+}
+
+// TestJoinsEmitOnlyColumnsReadAbove pins the column-keeping rule on the
+// paper's TPC-H Q5 and Q9 plans (Q4A, Q5A) plus a join with a residual:
+// no join emits a column outside the hand-derived set the query reads
+// above its scans, every equi-join column a join receives stays in its
+// output (the AIP equivalence classes ride on them), and a residual's
+// column references name the join's output positions.
+func TestJoinsEmitOnlyColumnsReadAbove(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002})
+	spec := func(id string) string {
+		s, err := workload.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.SQL(cat)
+	}
+	for _, q := range []struct {
+		name, sql string
+		equi      []string // equi-join columns
+		read      []string // the other columns read above the scans
+		residual  bool     // some join carries a residual
+	}{
+		{name: "Q4A", sql: spec("Q4A"),
+			equi: []string{"c_custkey", "o_custkey", "l_orderkey", "o_orderkey", "l_suppkey", "s_suppkey",
+				"c_nationkey", "s_nationkey", "n_nationkey", "n_regionkey", "r_regionkey"},
+			read: []string{"n_name", "l_extendedprice", "l_discount"}},
+		{name: "Q5A", sql: spec("Q5A"),
+			equi: []string{"s_suppkey", "l_suppkey", "ps_suppkey", "ps_partkey", "l_partkey", "p_partkey",
+				"o_orderkey", "l_orderkey", "s_nationkey", "n_nationkey"},
+			read: []string{"n_name", "o_orderdate", "l_extendedprice", "l_discount", "ps_supplycost", "l_quantity"}},
+		{name: "residual", sql: `
+			SELECT n_name, s_name FROM supplier, nation, region
+			WHERE s_nationkey = n_nationkey AND n_regionkey = r_regionkey
+			  AND s_acctbal > n_nationkey * 100 AND r_name = 'ASIA'`,
+			equi:     []string{"s_nationkey", "n_nationkey", "n_regionkey", "r_regionkey"},
+			read:     []string{"n_name", "s_name", "s_acctbal"},
+			residual: true},
+	} {
+		blk, err := plan.BindSQL(cat, q.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		res, err := Build(Config{}, blk)
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		equi := map[string]bool{}
+		for _, c := range q.equi {
+			equi[c] = true
+		}
+		kept := map[string]bool{}
+		for _, c := range append(q.equi, q.read...) {
+			kept[c] = true
+		}
+		js := joins(res.Root, nil)
+		if len(js) == 0 {
+			t.Fatalf("%s: plan has no joins", q.name)
+		}
+		narrowed, residuals := false, false
+		for _, j := range js {
+			out := map[string]bool{}
+			for _, c := range j.Schema().Cols {
+				if !kept[c.Name] {
+					t.Errorf("%s: join %s emits %s, which nothing above reads", q.name, j.Name, c.Name)
+				}
+				out[c.Name] = true
+			}
+			in := append(append([]types.Column(nil), j.Left.Schema().Cols...), j.Right.Schema().Cols...)
+			for _, c := range in {
+				if equi[c.Name] && !out[c.Name] {
+					t.Errorf("%s: join %s drops equi-join column %s", q.name, j.Name, c.Name)
+				}
+			}
+			if j.Out != nil {
+				narrowed = true
+			}
+			if j.Residual == nil {
+				continue
+			}
+			residuals = true
+			for _, cr := range colRefs(j.Residual, nil) {
+				if cr.Idx >= j.Schema().Len() || j.Schema().Cols[cr.Idx].Name != cr.Col.Name {
+					t.Errorf("%s: join %s residual reads %s at position %d of %s",
+						q.name, j.Name, cr.Col.Name, cr.Idx, j.Schema())
+				}
+			}
+		}
+		if !narrowed {
+			t.Errorf("%s: no join narrowed its output", q.name)
+		}
+		if residuals != q.residual {
+			t.Errorf("%s: residual present = %v, want %v", q.name, residuals, q.residual)
 		}
 	}
 }

@@ -24,36 +24,6 @@ type KeyTable struct {
 	keys   []byte   // arena of all key bytes, appended on insert
 }
 
-// NewKeyTable returns a table pre-sized for about hint distinct keys.
-func NewKeyTable(hint int) *KeyTable {
-	kt := &KeyTable{}
-	kt.Reserve(hint)
-	if kt.slots == nil {
-		kt.Reserve(1)
-	}
-	return kt
-}
-
-// Reserve pre-sizes the slot array for about hint distinct keys (an
-// optimizer cardinality estimate, possibly divided across partitions),
-// avoiding most doubling-growth garbage on the insert path. It is a no-op
-// on a table that already holds keys or whose slots already cover the hint;
-// hint <= 0 leaves the lazy defaults.
-func (kt *KeyTable) Reserve(hint int) {
-	if hint <= 0 || len(kt.hashes) > 0 {
-		return
-	}
-	n := 16
-	for n < hint*2 {
-		n <<= 1
-	}
-	if n <= len(kt.slots) {
-		return
-	}
-	kt.slots = make([]int32, n)
-	kt.mask = uint64(n - 1)
-}
-
 // Len returns the number of distinct keys inserted.
 func (kt *KeyTable) Len() int { return len(kt.hashes) }
 

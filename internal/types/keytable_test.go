@@ -6,7 +6,7 @@ import (
 )
 
 func TestKeyTableInsertLookup(t *testing.T) {
-	kt := NewKeyTable(8)
+	var kt KeyTable
 	var h Hasher
 	for i := 0; i < 100; i++ {
 		tup := Tuple{Int(int64(i)), Str(fmt.Sprintf("v%d", i))}
@@ -55,7 +55,7 @@ func TestKeyTableZeroValue(t *testing.T) {
 // table must fall back to inline key-byte verification and keep every key
 // addressable, never trusting the hash alone.
 func TestKeyTableCollisions(t *testing.T) {
-	kt := NewKeyTable(4)
+	var kt KeyTable
 	const n = 200
 	for i := 0; i < n; i++ {
 		key := []byte(fmt.Sprintf("collide-%d", i))
@@ -82,7 +82,7 @@ func TestKeyTableCollisions(t *testing.T) {
 // TestKeyTableGrow crosses several doublings and verifies every id and key
 // survives rehashing.
 func TestKeyTableGrow(t *testing.T) {
-	kt := NewKeyTable(0) // start at minimum capacity
+	var kt KeyTable // start at minimum capacity
 	var h Hasher
 	const n = 10000
 	for i := 0; i < n; i++ {
@@ -152,45 +152,5 @@ func TestHasherMatchesAppendKeyCols(t *testing.T) {
 	want := Hash64(Tuple{Int(3), Str("x")}.AppendKeyCols(nil, []int{0, 1}), 0)
 	if h1 != want {
 		t.Fatal("Hasher must hash the canonical AppendKeyCols encoding with seed 0")
-	}
-}
-
-// TestKeyTableReserve pins the pre-sizing hint: a reserved table holds the
-// hinted key count without re-growing its slot array, the hint is a no-op
-// on populated tables, and reserved tables answer identically to lazy ones.
-func TestKeyTableReserve(t *testing.T) {
-	var kt KeyTable
-	kt.Reserve(1000)
-	slots := len(kt.slots)
-	if slots < 2000 {
-		t.Fatalf("reserve(1000) sized %d slots, want >= 2000 (load factor headroom)", slots)
-	}
-	var h Hasher
-	for i := 0; i < 1000; i++ {
-		hash, key := h.KeyCols(Tuple{Int(int64(i))}, []int{0})
-		if _, added := kt.Insert(hash, key); !added {
-			t.Fatalf("key %d not added", i)
-		}
-	}
-	if len(kt.slots) != slots {
-		t.Fatalf("reserved table grew from %d to %d slots", slots, len(kt.slots))
-	}
-	// Reserve on a populated table must not disturb it.
-	kt.Reserve(1 << 20)
-	if len(kt.slots) != slots || kt.Len() != 1000 {
-		t.Fatal("Reserve on a populated table must be a no-op")
-	}
-	for i := 0; i < 1000; i++ {
-		hash, key := h.KeyCols(Tuple{Int(int64(i))}, []int{0})
-		if kt.Lookup(hash, key) < 0 {
-			t.Fatalf("key %d lost", i)
-		}
-	}
-	// Non-positive hints leave the lazy defaults.
-	var lazy KeyTable
-	lazy.Reserve(0)
-	lazy.Reserve(-5)
-	if len(lazy.slots) != 0 {
-		t.Fatal("non-positive hints must leave the zero value untouched")
 	}
 }

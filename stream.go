@@ -399,15 +399,17 @@ func (r *Rows) finish() {
 	if r.eng != nil && r.eng.slowThresh > 0 && dur >= r.eng.slowThresh {
 		r.eng.slow.record(r.sql, dur, time.Now())
 	}
-	if err := r.ectx.Err(); err != nil && !errors.Is(err, errRowsClosed) {
-		r.err = err
-	}
 	reg := r.reg
 	// Quiescence before teardown: every operator goroutine must have exited
 	// before the spill directory is removed (a live merge could still hold
 	// a run file) and, in pooled mode, before the registry (whose counters
-	// they write) is reset and reused by another query.
+	// they write) is reset and reused by another query. It also comes
+	// before the error is read: a panicking operator's deferred close(out)
+	// can end the stream before Spawn's recover records the *PanicError.
 	r.ectx.Wait()
+	if err := r.ectx.Err(); err != nil && !errors.Is(err, errRowsClosed) {
+		r.err = err
+	}
 	r.ectx.Cleanup()
 	r.res = &Result{
 		Schema:                 r.sch,
