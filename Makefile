@@ -32,10 +32,15 @@ bench:
 # wire server's concurrent-session soak / disconnect-cancellation / quota
 # tests under the race detector. The repeated TestPanicContained run pins
 # that a panicking operator's error is read only after every operator
-# goroutine exited (a single run misses the race most of the time).
+# goroutine exited (a single run misses the race most of the time). The
+# repeated hold runs pin that a scan held on AIP producers wakes only after
+# their filters were injected, stops promptly and leak-free when the query
+# is cancelled mid-hold, and holds on each concurrent run's own points.
 test-race:
 	$(GO) test -race ./internal/exec ./internal/spill ./internal/sched ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
 	$(GO) test -race -count=200 -run 'TestPanicContained$$' ./internal/exec
+	$(GO) test -race -count=50 -run '^TestHold(WakesAfterPublish|Cancel|OverlapsOwnDelay|IgnoredWithoutController)$$' ./internal/exec
+	$(GO) test -race -count=50 -run '^TestHoldPreparedConcurrent$$' .
 
 # chaos: the full fault-injection matrix (seeds × fault profiles ×
 # Fail/Partial × strategies) plus the recovery smoke tests, under the race

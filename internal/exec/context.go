@@ -353,6 +353,7 @@ func (c *Context) Register(p *Point) {
 	c.points = append(c.points, p)
 	c.mu.Unlock()
 	if c.Ctl != nil {
+		p.published = make(chan struct{})
 		c.Ctl.RegisterPoint(p)
 	}
 }
@@ -366,10 +367,14 @@ func (c *Context) Points() []*Point {
 	return out
 }
 
-// pointDone notifies the controller.
+// pointDone notifies the controller, then wakes the scans holding on p:
+// by then PointDone has injected whatever filters p's state produced.
 func (c *Context) pointDone(p *Point) {
 	if c.Ctl != nil {
 		c.Ctl.PointDone(p)
+	}
+	if p.published != nil {
+		p.publishedOnce.Do(func() { close(p.published) })
 	}
 }
 

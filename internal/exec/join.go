@@ -168,9 +168,21 @@ func (jt *joinTable) each(emit func(types.Tuple) bool) bool {
 func (jt *joinTable) insert(h uint64, key []byte, t types.Tuple, seq uint64) {
 	id, added := jt.idx.Insert(h, key)
 	if added {
-		jt.heads = append(jt.heads, 0)
+		jt.addHead()
 	}
 	jt.push(id, t, seq)
+}
+
+// addHead appends an empty chain head for a new key id, doubling the
+// array when full (append's ~1.25× steps past 256 elements would allocate
+// several times the final size over a table's growth).
+func (jt *joinTable) addHead() {
+	if len(jt.heads) == cap(jt.heads) {
+		grown := make([]int32, len(jt.heads), max(2*cap(jt.heads), 16))
+		copy(grown, jt.heads)
+		jt.heads = grown
+	}
+	jt.heads = append(jt.heads, 0)
 }
 
 // insertBatch inserts a whole scatter with consecutive tickets starting at
@@ -182,7 +194,7 @@ func (jt *joinTable) insertBatch(sb *scatter, baseSeq uint64, ids []int32, added
 	jt.idx.InsertBatch(sb.hashes, sb.keys, sb.offs, ids, added)
 	for i, t := range sb.tuples {
 		if added[i] {
-			jt.heads = append(jt.heads, 0)
+			jt.addHead()
 		}
 		jt.push(ids[i], t, baseSeq+uint64(i)+1)
 	}

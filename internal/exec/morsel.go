@@ -394,7 +394,10 @@ func (r *morselRun) runSeqScan(wid int, s *Scan, op *stats.OpStats, down mChain)
 	}
 	batch := GetBatch()
 	count := 0
-	var cumBytes int64
+	var prefix []int64
+	if s.BytesPerSec > 0 {
+		prefix = s.rowBytes()
+	}
 	start := time.Now()
 	readAttempt := func(stop <-chan struct{}) error {
 		switch k := inj.Next(); k {
@@ -439,7 +442,7 @@ func (r *morselRun) runSeqScan(wid int, s *Scan, op *stats.OpStats, down mChain)
 		}
 		op.Out.Add(n)
 		if s.BytesPerSec > 0 {
-			target := time.Duration(float64(cumBytes) / float64(s.BytesPerSec) * float64(time.Second))
+			target := time.Duration(float64(prefix[count]) / float64(s.BytesPerSec) * float64(time.Second))
 			if debt := target - time.Since(start); debt > 2*time.Millisecond {
 				select {
 				case <-time.After(debt):
@@ -458,9 +461,6 @@ func (r *morselRun) runSeqScan(wid int, s *Scan, op *stats.OpStats, down mChain)
 	for _, t := range s.Rows {
 		batch.Tuples = append(batch.Tuples, t)
 		count++
-		if s.BytesPerSec > 0 {
-			cumBytes += int64(t.MemSize())
-		}
 		if s.Delay != nil && s.Delay.EveryN > 0 && count%s.Delay.EveryN == 0 {
 			if !flush(false) {
 				return

@@ -397,6 +397,13 @@ type Point struct {
 	// per-operator accounting (registry totals are still kept).
 	Op *stats.OpStats
 
+	// published is closed once the controller's PointDone for this point
+	// has returned, i.e. after its filters were injected; scans holding on
+	// the point (Scan.Await) wake on it. Made by Context.Register under a
+	// controller, nil otherwise.
+	published     chan struct{}
+	publishedOnce sync.Once
+
 	// Runtime counters maintained by the owning operator.
 	received        atomic.Int64
 	stored          atomic.Int64

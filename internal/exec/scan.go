@@ -51,6 +51,49 @@ type Scan struct {
 	// relations finish proportionally later than small ones, which is what
 	// staggers subexpression completion times. Zero means unpaced.
 	BytesPerSec int64
+	// RowBytes is types.BytePrefix(Rows), the table's precomputed running
+	// footprint: pacing reads the bytes emitted so far with one lookup per
+	// flushed batch instead of a MemSize call per tuple. Nil (or stale) is
+	// recomputed once per run when the scan is paced.
+	RowBytes []int64
+
+	// Await lists the stateful injection points this scan holds for before
+	// emitting its first tuple, under an AIP controller: each is an input
+	// whose published filter is expected to prune this scan. The optimizer
+	// computes it per plan template (see optimizer.holdPlan); Instantiate
+	// remaps it to the run's own points. Baseline runs (no controller)
+	// ignore it.
+	Await []*Point
+}
+
+// rowBytes returns the scan's byte prefix sums, computing them when the
+// plan did not carry valid ones.
+func (s *Scan) rowBytes() []int64 {
+	if len(s.RowBytes) == len(s.Rows)+1 {
+		return s.RowBytes
+	}
+	return types.BytePrefix(s.Rows)
+}
+
+// hold blocks until every awaited point has published (its controller's
+// PointDone returned) and reports the time spent waiting; false means the
+// query was cancelled first.
+func (s *Scan) hold(ctx *Context) (time.Duration, bool) {
+	if ctx.Ctl == nil || len(s.Await) == 0 {
+		return 0, true
+	}
+	t0 := time.Now()
+	for _, p := range s.Await {
+		if p.published == nil { // not registered with this context
+			continue
+		}
+		select {
+		case <-p.published:
+		case <-ctx.Cancelled():
+			return time.Since(t0), false
+		}
+	}
+	return time.Since(t0), true
 }
 
 // Schema returns the scan's output schema.
@@ -74,16 +117,31 @@ func (s *Scan) Start(ctx *Context) <-chan Batch {
 	partialMode := ctx.Recovery.Mode == PartialOnSourceError && s.Table != ""
 	ctx.Spawn(func() {
 		defer close(out)
+		// The scan's own initial delay runs concurrently with its hold:
+		// a delayed source waits max(delay, hold), not their sum.
+		begin := time.Now()
+		held, ok := s.hold(ctx)
+		if held > 0 {
+			op.Held.Add(int64(held))
+		}
+		if !ok {
+			return
+		}
 		if s.Delay != nil && s.Delay.Initial > 0 {
-			select {
-			case <-time.After(s.Delay.Initial):
-			case <-ctx.Cancelled():
-				return
+			if rest := s.Delay.Initial - time.Since(begin); rest > 0 {
+				select {
+				case <-time.After(rest):
+				case <-ctx.Cancelled():
+					return
+				}
 			}
 		}
 		batch := GetBatch()
 		count := 0
-		var cumBytes int64
+		var prefix []int64
+		if s.BytesPerSec > 0 {
+			prefix = s.rowBytes()
+		}
 		start := time.Now()
 		// readAttempt models one read from the flaky source: it draws the
 		// injected fault decision for this attempt. A stalled read blocks on
@@ -106,7 +164,7 @@ func (s *Scan) Start(ctx *Context) <-chan Batch {
 		flush := func(last bool) bool {
 			if len(batch.Tuples) == 0 {
 				// Pacing debt was settled by the preceding non-empty flush
-				// (cumBytes is unchanged since), so just recycle.
+				// (count is unchanged since), so just recycle.
 				if last {
 					PutBatch(batch)
 				}
@@ -140,8 +198,9 @@ func (s *Scan) Start(ctx *Context) <-chan Batch {
 			if s.BytesPerSec > 0 {
 				// Pace against a cumulative deadline; sleeping only when
 				// the debt exceeds a couple of milliseconds keeps the rate
-				// accurate despite coarse timer granularity.
-				target := time.Duration(float64(cumBytes) / float64(s.BytesPerSec) * float64(time.Second))
+				// accurate despite coarse timer granularity. prefix[count]
+				// is the footprint of every row emitted so far.
+				target := time.Duration(float64(prefix[count]) / float64(s.BytesPerSec) * float64(time.Second))
 				if debt := target - time.Since(start); debt > 2*time.Millisecond {
 					select {
 					case <-time.After(debt):
@@ -160,9 +219,6 @@ func (s *Scan) Start(ctx *Context) <-chan Batch {
 		for _, t := range s.Rows {
 			batch.Tuples = append(batch.Tuples, t)
 			count++
-			if s.BytesPerSec > 0 {
-				cumBytes += int64(t.MemSize())
-			}
 			if s.Delay != nil && s.Delay.EveryN > 0 && count%s.Delay.EveryN == 0 {
 				if !flush(false) {
 					return

@@ -11,11 +11,12 @@ import (
 
 // Instantiate clones the built plan into a fresh, runnable copy: every
 // operator is duplicated, every injection point is replaced by a
-// CloneForRun copy with zeroed runtime state (ancestor chains rewritten to
-// the clones), and `?` placeholders in the plan's expressions are
-// substituted with the given arguments as typed constants. The receiver is
-// never mutated, so one Build result can serve as a plan-cache or
-// prepared-statement template executed many times, concurrently.
+// CloneForRun copy with zeroed runtime state (ancestor chains and scan
+// hold lists rewritten to the clones), and `?` placeholders in the plan's
+// expressions are substituted with the given arguments as typed constants.
+// The receiver is never mutated, so one Build result can serve as a
+// plan-cache or prepared-statement template executed many times,
+// concurrently.
 //
 // When args is empty and the plan carries no parameters the expression
 // trees are shared with the template (they are immutable at runtime); only
@@ -45,12 +46,26 @@ func (r *Result) Instantiate(args []types.Value) (*Result, error) {
 			np.Ancestors[i] = mapped
 		}
 	}
+	// Hold lists likewise: a scan holding on a template point would wait
+	// for a point no operator of this run ever completes.
+	for _, s := range in.holding {
+		await := make([]*exec.Point, len(s.Await))
+		for i, p := range s.Await {
+			mapped, ok := in.pmap[p]
+			if !ok {
+				return nil, fmt.Errorf("optimizer: awaited point %q is not reachable from the plan root", p.Name)
+			}
+			await[i] = mapped
+		}
+		s.Await = await
+	}
 	return &Result{Root: root, Points: points, EstRows: r.EstRows}, nil
 }
 
 type instantiator struct {
-	args []types.Value
-	pmap map[*exec.Point]*exec.Point
+	args    []types.Value
+	pmap    map[*exec.Point]*exec.Point
+	holding []*exec.Scan // cloned scans whose Await still names template points
 }
 
 func (in *instantiator) point(p *exec.Point) *exec.Point {
@@ -93,6 +108,9 @@ func (in *instantiator) op(o exec.Op) (exec.Op, error) {
 	switch v := o.(type) {
 	case *exec.Scan:
 		c := *v // table rows and schema are shared, per-run state is local to Start
+		if len(c.Await) > 0 {
+			in.holding = append(in.holding, &c)
+		}
 		return &c, nil
 
 	case *exec.Filter:

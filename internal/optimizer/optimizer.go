@@ -11,7 +11,9 @@
 // The optimizer also attaches the metadata the AIP runtime needs to every
 // injection point: attribute equivalence classes, cardinality estimates,
 // per-attribute domain sizes, plan depth, and ancestor chains — the
-// services ESTIMATEBENEFIT (Fig. 4 of the paper) re-invokes at runtime.
+// services ESTIMATEBENEFIT (Fig. 4 of the paper) re-invokes at runtime —
+// and, per scan, the hold plan: the producer points a large scan waits for
+// so their filters are published before it starts (see holdPlan).
 //
 // Each join emits only the columns read above it (HashJoin.Out), since a
 // joined row is buffered again as state by every join above. A column of
@@ -62,6 +64,7 @@ func Build(cfg Config, b *plan.Block) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	holdPlan(comp.op, o.points)
 	return &Result{Root: comp.op, Points: o.points, EstRows: comp.est}, nil
 }
 
@@ -246,7 +249,7 @@ func (o *builder) buildRel(b *plan.Block, ri int, rel *plan.Rel, used []bool, na
 		if rel.Delayed && o.cfg.Delay != nil {
 			delay = o.cfg.Delay
 		}
-		comp.op = &exec.Scan{
+		scan := &exec.Scan{
 			Name:        name,
 			Rows:        rel.Table.Rows,
 			Sch:         rel.Schema,
@@ -255,6 +258,10 @@ func (o *builder) buildRel(b *plan.Block, ri int, rel *plan.Rel, used []bool, na
 			Site:        rel.Site,
 			BytesPerSec: o.cfg.ScanBytesPerSec,
 		}
+		if scan.BytesPerSec > 0 {
+			scan.RowBytes = rel.Table.BytePrefix()
+		}
+		comp.op = scan
 		comp.tables = []string{rel.Table.Name}
 		comp.est = float64(rel.Table.NumRows())
 		for i, c := range rel.Schema.Cols {

@@ -91,6 +91,11 @@ type OpStats struct {
 	SpillEvents Counter
 	SpillPasses Counter
 
+	// Held is the time, in nanoseconds, a scan waited for the AIP
+	// producers it holds on before emitting its first tuple; set once per
+	// scan.
+	Held Counter
+
 	parts []PartStats // per-partition state counters; nil for unpartitioned ops
 }
 
@@ -112,6 +117,7 @@ func (o *OpStats) reset() {
 	o.SpillBytes.reset()
 	o.SpillEvents.reset()
 	o.SpillPasses.reset()
+	o.Held.reset()
 	o.parts = nil
 }
 
@@ -383,6 +389,12 @@ func (r *Registry) Report() string {
 				parts += " "
 			}
 			parts += fmt.Sprintf("filter=%dB work-peak=%dB", fb, fw)
+		}
+		if h := op.Held.Load(); h > 0 {
+			if parts != "" {
+				parts += " "
+			}
+			parts += "held=" + time.Duration(h).Round(time.Microsecond).String()
 		}
 		if se := op.SpillEvents.Load(); se > 0 {
 			if parts != "" {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -94,8 +95,9 @@ func TestReportFormat(t *testing.T) {
 	op := r.NewOp("agg:test")
 	op.In.Add(10)
 	op.Out.Add(2)
+	r.NewOp("scan:held").Held.Add(int64(1500 * time.Microsecond))
 	rep := r.Report()
-	for _, want := range []string{"agg:test", "10", "filters:"} {
+	for _, want := range []string{"agg:test", "10", "filters:", "held=1.5ms"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}

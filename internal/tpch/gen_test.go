@@ -321,3 +321,27 @@ func TestDefaultConfigs(t *testing.T) {
 		t.Fatal("zero-config generation failed")
 	}
 }
+
+// TestBytePrefixMatchesMemSize: the cached per-table byte prefix sum
+// (paced scans charge batches from it) equals the running Σ MemSize over
+// every row of every TPC-H table.
+func TestBytePrefixMatchesMemSize(t *testing.T) {
+	c := Generate(Config{ScaleFactor: 0.002})
+	for _, name := range c.Names() {
+		tbl, _ := c.Table(name)
+		p := tbl.BytePrefix()
+		if len(p) != len(tbl.Rows)+1 {
+			t.Fatalf("%s: prefix has %d entries for %d rows", name, len(p), len(tbl.Rows))
+		}
+		var sum int64
+		for i, row := range tbl.Rows {
+			if p[i] != sum {
+				t.Fatalf("%s: prefix[%d] = %d, want %d", name, i, p[i], sum)
+			}
+			sum += int64(row.MemSize())
+		}
+		if p[len(tbl.Rows)] != sum || tbl.MemBytes() != sum {
+			t.Fatalf("%s: total %d / MemBytes %d, want %d", name, p[len(tbl.Rows)], tbl.MemBytes(), sum)
+		}
+	}
+}

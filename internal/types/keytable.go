@@ -14,34 +14,44 @@ import "bytes"
 //
 // The zero value is an empty, ready-to-use table. KeyTable is not
 // concurrency-safe; the executor serializes access per operator side.
+//
+// Growth allocates about twice the final footprint, not more: the per-id
+// entries are sized together with the slot array (a table with n slots
+// holds at most 3n/4 ids, so grow allocates exactly that many and inserts
+// never reallocate them), and the key arena doubles.
 type KeyTable struct {
 	slots []int32 // 1-based id per slot, 0 = empty; len is a power of two
 	mask  uint64
 
-	hashes []uint64 // per id: the key's Hash64
-	offs   []uint32 // per id: start of the key bytes in keys
-	ends   []uint32 // per id: end of the key bytes in keys
-	keys   []byte   // arena of all key bytes, appended on insert
+	ents []ktEntry // per id; cap is the load-factor limit of slots
+	keys []byte    // arena of all key bytes, appended on insert
+}
+
+// ktEntry is one id's key: its Hash64 and its byte range in the arena.
+type ktEntry struct {
+	h        uint64
+	off, end uint32
 }
 
 // Len returns the number of distinct keys inserted.
-func (kt *KeyTable) Len() int { return len(kt.hashes) }
+func (kt *KeyTable) Len() int { return len(kt.ents) }
 
 // Key returns the canonical key bytes of an id. The slice aliases the
 // table's arena and must not be modified.
 func (kt *KeyTable) Key(id int32) []byte {
-	return kt.keys[kt.offs[id]:kt.ends[id]]
+	e := &kt.ents[id]
+	return kt.keys[e.off:e.end]
 }
 
 // Hash returns the Hash64 the id was inserted under. Together with Key it
 // lets a caller walk ids 0..Len() and re-serialize every entry — the
 // executor's spill eviction writes whole buckets this way without
 // re-hashing the key bytes.
-func (kt *KeyTable) Hash(id int32) uint64 { return kt.hashes[id] }
+func (kt *KeyTable) Hash(id int32) uint64 { return kt.ents[id].h }
 
 // MemSize approximates the table's footprint in bytes for state accounting.
 func (kt *KeyTable) MemSize() int {
-	return len(kt.slots)*4 + len(kt.hashes)*16 + len(kt.keys)
+	return len(kt.slots)*4 + len(kt.ents)*16 + len(kt.keys)
 }
 
 // Lookup returns the id of the key, or -1 when absent. It never allocates.
@@ -55,7 +65,7 @@ func (kt *KeyTable) Lookup(h uint64, key []byte) int32 {
 		if s == 0 {
 			return -1
 		}
-		if id := s - 1; kt.hashes[id] == h && bytes.Equal(kt.Key(id), key) {
+		if id := s - 1; kt.ents[id].h == h && bytes.Equal(kt.Key(id), key) {
 			return id
 		}
 		i = (i + 1) & kt.mask
@@ -66,22 +76,18 @@ func (kt *KeyTable) Lookup(h uint64, key []byte) int32 {
 // whether a new id was created. The key bytes are copied into the arena, so
 // callers may reuse their buffer immediately.
 func (kt *KeyTable) Insert(h uint64, key []byte) (id int32, added bool) {
-	if len(kt.hashes)*4 >= len(kt.slots)*3 { // load factor 3/4, also 0-cap init
-		kt.grow()
+	if len(kt.ents)*4 >= len(kt.slots)*3 { // load factor 3/4, also 0-cap init
+		kt.grow(0)
 	}
 	i := h & kt.mask
 	for {
 		s := kt.slots[i]
 		if s == 0 {
-			id = int32(len(kt.hashes))
-			kt.hashes = append(kt.hashes, h)
-			kt.offs = append(kt.offs, uint32(len(kt.keys)))
-			kt.keys = append(kt.keys, key...)
-			kt.ends = append(kt.ends, uint32(len(kt.keys)))
+			id = kt.add(h, key)
 			kt.slots[i] = id + 1
 			return id, true
 		}
-		if cand := s - 1; kt.hashes[cand] == h && bytes.Equal(kt.Key(cand), key) {
+		if cand := s - 1; kt.ents[cand].h == h && bytes.Equal(kt.Key(cand), key) {
 			return cand, false
 		}
 		i = (i + 1) & kt.mask
@@ -126,7 +132,7 @@ func (kt *KeyTable) LookupBatch(hashes []uint64, keys []byte, offs []int32, ids 
 			}
 			h := hashes[start+j]
 			key := keys[offs[start+j]:offs[start+j+1]]
-			if id := s - 1; kt.hashes[id] == h && bytes.Equal(kt.Key(id), key) {
+			if id := s - 1; kt.ents[id].h == h && bytes.Equal(kt.Key(id), key) {
 				ids[start+j] = id
 				continue
 			}
@@ -142,7 +148,7 @@ func (kt *KeyTable) lookupFrom(i uint64, h uint64, key []byte) int32 {
 		if s == 0 {
 			return -1
 		}
-		if id := s - 1; kt.hashes[id] == h && bytes.Equal(kt.Key(id), key) {
+		if id := s - 1; kt.ents[id].h == h && bytes.Equal(kt.Key(id), key) {
 			return id
 		}
 		i = (i + 1) & kt.mask
@@ -157,8 +163,8 @@ func (kt *KeyTable) lookupFrom(i uint64, h uint64, key []byte) int32 {
 // a zero one is re-read — an earlier lane of the same batch may have
 // claimed the slot since.
 func (kt *KeyTable) InsertBatch(hashes []uint64, keys []byte, offs []int32, ids []int32, added []bool) {
-	for (len(kt.hashes)+len(hashes))*4 >= len(kt.slots)*3 {
-		kt.grow()
+	if (len(kt.ents)+len(hashes))*4 >= len(kt.slots)*3 {
+		kt.grow(len(hashes))
 	}
 	var home [ktChunk]uint64
 	var s0 [ktChunk]int32
@@ -189,15 +195,11 @@ func (kt *KeyTable) InsertBatch(hashes []uint64, keys []byte, offs []int32, ids 
 func (kt *KeyTable) insertFrom(i uint64, s int32, h uint64, key []byte) (id int32, added bool) {
 	for {
 		if s == 0 {
-			id = int32(len(kt.hashes))
-			kt.hashes = append(kt.hashes, h)
-			kt.offs = append(kt.offs, uint32(len(kt.keys)))
-			kt.keys = append(kt.keys, key...)
-			kt.ends = append(kt.ends, uint32(len(kt.keys)))
+			id = kt.add(h, key)
 			kt.slots[i] = id + 1
 			return id, true
 		}
-		if cand := s - 1; kt.hashes[cand] == h && bytes.Equal(kt.Key(cand), key) {
+		if cand := s - 1; kt.ents[cand].h == h && bytes.Equal(kt.Key(cand), key) {
 			return cand, false
 		}
 		i = (i + 1) & kt.mask
@@ -205,21 +207,40 @@ func (kt *KeyTable) insertFrom(i uint64, s int32, h uint64, key []byte) (id int3
 	}
 }
 
-// grow doubles the slot array and re-places every id by its stored hash; key
-// bytes are never touched.
-func (kt *KeyTable) grow() {
-	n := len(kt.slots) * 2
-	if n == 0 {
-		n = 16
+// add appends a new id's entry and key bytes and returns the id. The caller
+// has grown the table, so the entry array has room; the arena doubles.
+func (kt *KeyTable) add(h uint64, key []byte) int32 {
+	id := int32(len(kt.ents))
+	off := len(kt.keys)
+	if need := off + len(key); need > cap(kt.keys) {
+		c := max(2*cap(kt.keys), need, 64)
+		grown := make([]byte, off, c)
+		copy(grown, kt.keys)
+		kt.keys = grown
+	}
+	kt.keys = append(kt.keys, key...)
+	kt.ents = append(kt.ents, ktEntry{h: h, off: uint32(off), end: uint32(len(kt.keys))})
+	return id
+}
+
+// grow doubles the slot array until extra more ids fit under the load
+// factor, resizes the entry array to the new limit, and re-places every id
+// by its stored hash; key bytes are never touched.
+func (kt *KeyTable) grow(extra int) {
+	n := max(2*len(kt.slots), 16)
+	for (len(kt.ents)+extra)*4 >= n*3 {
+		n *= 2
 	}
 	slots := make([]int32, n)
 	mask := uint64(n - 1)
-	for id, h := range kt.hashes {
-		i := h & mask
+	for id := range kt.ents {
+		i := kt.ents[id].h & mask
 		for slots[i] != 0 {
 			i = (i + 1) & mask
 		}
 		slots[i] = int32(id) + 1
 	}
-	kt.slots, kt.mask = slots, mask
+	ents := make([]ktEntry, len(kt.ents), n/4*3)
+	copy(ents, kt.ents)
+	kt.slots, kt.mask, kt.ents = slots, mask, ents
 }

@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -152,5 +153,34 @@ func TestHasherMatchesAppendKeyCols(t *testing.T) {
 	want := Hash64(Tuple{Int(3), Str("x")}.AppendKeyCols(nil, []int{0, 1}), 0)
 	if h1 != want {
 		t.Fatal("Hasher must hash the canonical AppendKeyCols encoding with seed 0")
+	}
+}
+
+// TestKeyTableGrowthAllocation bounds what a growing table allocates over
+// its lifetime: entries are sized with the slot array and the key arena
+// doubles, so the total stays near twice the final footprint instead of the
+// several-fold overshoot of growing each per-id array by append.
+func TestKeyTableGrowthAllocation(t *testing.T) {
+	var h Hasher
+	keys := make([][]byte, 100000)
+	hashes := make([]uint64, len(keys))
+	for i := range keys {
+		hashes[i], keys[i] = h.KeyCols(Tuple{Int(int64(i))}, []int{0})
+		keys[i] = append([]byte(nil), keys[i]...)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var kt KeyTable
+	for i := range keys {
+		kt.Insert(hashes[i], keys[i])
+	}
+	runtime.ReadMemStats(&after)
+	final := len(kt.slots)*4 + cap(kt.ents)*16 + cap(kt.keys)
+	total := after.TotalAlloc - before.TotalAlloc
+	if total > uint64(final)*5/2 {
+		t.Fatalf("growth allocated %d bytes for a %d-byte table (%.2fx)", total, final, float64(total)/float64(final))
+	}
+	if kt.Len() != len(keys) || cap(kt.ents) != len(kt.slots)/4*3 {
+		t.Fatalf("Len = %d, entry capacity %d for %d slots", kt.Len(), cap(kt.ents), len(kt.slots))
 	}
 }

@@ -29,6 +29,17 @@ func (t Tuple) MemSize() int {
 	return n
 }
 
+// BytePrefix returns the running MemSize of rows: element i is the
+// footprint of rows[:i], so the bytes of any contiguous run rows[a:b] cost
+// one subtraction. It has len(rows)+1 elements.
+func BytePrefix(rows []Tuple) []int64 {
+	out := make([]int64, len(rows)+1)
+	for i, t := range rows {
+		out[i+1] = out[i] + int64(t.MemSize())
+	}
+	return out
+}
+
 // Key encodes the listed column positions into a canonical hash key. It is
 // the convenience form of AppendKeyCols for cold paths; the executor's hot
 // paths use AppendKeyCols (via Hasher) to avoid the string allocation.
